@@ -9,7 +9,7 @@ counterpart of the self-stabilizing Theorem 4.5.
 """
 
 from repro.analysis.invariants import is_maximal_independent_set
-from repro.core.pipeline import delta_plus_one_coloring
+from repro.recipes import delta_plus_one_coloring
 from repro.runtime.algorithm import LocallyIterativeColoring
 
 __all__ = [

@@ -12,8 +12,7 @@ vertices of one wave are pairwise non-adjacent (an edge between them would
 make one the earlier neighbor of the other), so a whole wave can pick its
 smallest free color from one boolean occupancy matrix — bit-identical to
 the sequential sweep, in ``depth(pi)`` array rounds instead of ``n`` Python
-steps.  With Numba available the sweep instead runs as one fused raw loop
-(:func:`repro.runtime.native.greedy_assign`).
+steps.
 """
 
 from repro.runtime.csr import numpy_or_none
@@ -27,8 +26,9 @@ def greedy_coloring(graph, order=None, backend="auto"):
     Returns a list of colors in ``range(Delta + 1)`` (entries stay ``None``
     for vertices a partial ``order`` never visits).  All backends produce
     bit-identical output: ``reference`` is the plain Python sweep, ``batch``
-    the wave-parallel NumPy path, ``numba`` the fused native loop, ``auto``
-    the best available.
+    the wave-parallel NumPy path, ``oocore`` the sharded sweep over a
+    :class:`~repro.oocore.store.ShardedCSRGraph`, ``auto`` the best
+    available.
     """
     if backend == "oocore" or type(graph).__name__ == "ShardedCSRGraph":
         # Out-of-core graphs never materialize a full CSR; the sharded
@@ -52,17 +52,6 @@ def greedy_coloring(graph, order=None, backend="auto"):
         return _greedy_reference(graph, order)
     order_list = list(range(n)) if order is None else list(order)
     csr = graph.csr()
-    if backend in ("auto", "numba"):
-        from repro.runtime.native import greedy_kernel, native_default
-
-        if backend == "numba" or native_default():
-            kernel = greedy_kernel()
-            if kernel is not None:
-                order_arr = np.asarray(order_list, dtype=np.int64)
-                colors = np.full(n, -1, dtype=np.int64)
-                stamp = np.full(graph.max_degree + 2, -1, dtype=np.int64)
-                kernel(csr.indptr, csr.indices, order_arr, stamp, colors)
-                return [c if c >= 0 else None for c in colors.tolist()]
     if sorted(order_list) != list(range(n)):
         # Partial or repeating orders revisit vertices; the wave argument
         # needs a permutation.  These only appear in tiny oracle checks.
@@ -88,17 +77,37 @@ def _greedy_waves(np, csr, order_list, palette):
     pos = np.empty(n, dtype=np.int64)
     pos[np.asarray(order_list, dtype=np.int64)] = np.arange(n, dtype=np.int64)
     earlier = pos[csr.indices] < pos[csr.rows]  # slot: neighbor precedes owner
-    # Split the adjacency into earlier/later halves (slot order is
-    # preserved).  A ready vertex's earlier neighbors are all colored and
-    # its later ones never are, so each half serves exactly one purpose per
-    # edge: occupancy (earlier half) and readiness countdown (later half).
-    e_counts = csr.count_per_vertex(earlier)
-    e_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(e_counts, out=e_indptr[1:])
-    e_indices = csr.indices[earlier].astype(np.int32)
-    l_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(csr.degrees - e_counts, out=l_indptr[1:])
-    l_indices = csr.indices[~earlier].astype(np.int32)
+    colors = np.full(n, -1, dtype=np.int32)
+    first_fit_waves(
+        np, csr.rows, csr.indices.astype(np.int32), earlier, ~earlier,
+        csr.count_per_vertex(earlier), colors, palette,
+    )
+    return colors.tolist()
+
+
+def first_fit_waves(np, rows, indices, earlier, later, indeg, colors, palette):
+    """Wave-parallel first-fit over the rows ``[0, len(indeg))`` of a CSR.
+
+    ``rows``/``indices`` give each adjacency slot's owner and neighbor.
+    ``earlier`` marks the slots whose neighbor precedes the owner (they fill
+    the occupancy), ``later`` the slots whose neighbor is colored by this
+    sweep after the owner (they drive the readiness countdown), and
+    ``indeg`` counts each row's earlier neighbors this sweep still has to
+    color.  ``colors`` (-1 = uncolored) is filled in place; entries past the
+    swept rows may come pre-colored (an out-of-core shard's halo).
+    """
+    k = indeg.shape[0]
+
+    def half(mask):
+        # Slot order is preserved.  A ready vertex's earlier neighbors are
+        # all colored and its later ones never are, so each half serves
+        # exactly one purpose per edge.
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[mask], minlength=k), out=indptr[1:])
+        return indptr, indices[mask]
+
+    e_indptr, e_indices = half(earlier)
+    l_indptr, l_indices = half(later)
 
     def gather(indptr, indices, rows, repeats):
         """Concatenated rows of a CSR half, plus ``repeats`` spread per slot."""
@@ -113,27 +122,25 @@ def _greedy_waves(np, csr, order_list, palette):
         spread = np.repeat(repeats, lens) if repeats is not None else None
         return indices[slot], spread
 
-    indeg = e_counts.copy()
-    colors = np.full(n, -1, dtype=np.int32)
     # Kahn-style frontier sweep: a vertex enters the wave exactly when its
     # last earlier neighbor gets colored, so each wave touches only its own
     # adjacency slots — total work O(m), not O(m * depth).
     wave = np.nonzero(indeg == 0)[0]
     indeg[wave] = -1  # colored vertices never re-enter
-    remaining = n
+    remaining = k
     while wave.size:
-        k = wave.size
+        width = wave.size
         taken, key_base = gather(
-            e_indptr, e_indices, wave, np.arange(k, dtype=np.int64) * palette
+            e_indptr, e_indices, wave, np.arange(width, dtype=np.int64) * palette
         )
-        occupancy = np.bincount(key_base + colors[taken], minlength=k * palette)
-        colors[wave] = (occupancy.reshape(k, palette) == 0).argmax(axis=1)
-        remaining -= k
+        occupancy = np.bincount(key_base + colors[taken], minlength=width * palette)
+        colors[wave] = (occupancy.reshape(width, palette) == 0).argmax(axis=1)
+        remaining -= width
         if remaining == 0:
             break
-        later, _ = gather(l_indptr, l_indices, wave, None)
-        if later.size:
-            indeg -= np.bincount(later, minlength=n)
+        later_nbrs, _ = gather(l_indptr, l_indices, wave, None)
+        if later_nbrs.size:
+            indeg -= np.bincount(later_nbrs, minlength=k)
         wave = np.nonzero(indeg == 0)[0]
         indeg[wave] = -1
-    return colors.tolist()
+    return colors

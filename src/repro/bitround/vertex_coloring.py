@@ -17,7 +17,7 @@ according to the rule") made executable for *vertex* coloring:
 
 Per-neighbor replicas are asserted equal to the true colors after every
 round; the final coloring is bit-identical to
-:func:`repro.core.pipeline.delta_plus_one_coloring` on the same graph.
+:func:`repro.recipes.delta_plus_one_coloring` on the same graph.
 """
 
 import math

@@ -13,8 +13,8 @@
 * :mod:`repro.core.arbdefective` — ArbAG (Section 6): the conflict-tolerant
   variant computing ``O(p)``-arbdefective ``O(Delta/p)``-colorings.
 * :mod:`repro.core.reductions` — the classical standard color reduction.
-* :mod:`repro.core.pipeline` — ready-made end-to-end colorings
-  (Corollary 3.6, Section 7 exact, Theorem 6.4 sublinear).
+* :mod:`repro.recipes` (re-exported here) — ready-made end-to-end
+  colorings (Corollary 3.6, Section 7 exact, Theorem 6.4 sublinear).
 """
 
 from repro.core.ag import AdditiveGroupColoring
@@ -23,12 +23,24 @@ from repro.core.agn import AdditiveGroupZN
 from repro.core.hybrid import ExactDeltaPlusOneHybrid
 from repro.core.arbdefective import ArbAGColoring
 from repro.core.reductions import StandardColorReduction
-from repro.core.pipeline import (
-    delta_plus_one_coloring,
-    delta_plus_one_exact_no_reduction,
-    one_plus_eps_delta_coloring,
-    sublinear_delta_plus_one_coloring,
+
+_RECIPES = (
+    "delta_plus_one_coloring",
+    "delta_plus_one_exact_no_reduction",
+    "one_plus_eps_delta_coloring",
+    "sublinear_delta_plus_one_coloring",
 )
+
+
+def __getattr__(name):
+    # Resolved on first use: repro.recipes imports this package's stage
+    # modules, so an eager import here would be circular.
+    if name in _RECIPES:
+        from repro import recipes
+
+        return getattr(recipes, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "AdditiveGroupColoring",

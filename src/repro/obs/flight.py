@@ -51,12 +51,14 @@ __all__ = [
     "chrome_trace",
     "cpu_seconds",
     "maybe_profiler",
+    "pool_watchdog",
     "profile_interval",
     "profiler_enabled",
     "register_sampler",
     "rss_bytes",
     "stall_seconds",
     "unregister_sampler",
+    "wait_result",
     "watchdog_enabled",
     "write_chrome_trace",
 ]
@@ -416,6 +418,48 @@ class WorkerWatchdog:
         self._stalled.clear()
         self._last.clear()
         self.board.clear()
+
+
+def pool_watchdog(telemetry, timeout):
+    """A watchdog over a fresh heartbeat board, or None when switched off.
+
+    The stall threshold is clamped under ``timeout`` (when one is set): a
+    ``worker.stalled`` event that can only fire after the timeout already
+    killed the pool would be useless.
+    """
+    if not telemetry.enabled or not watchdog_enabled():
+        return None
+    stall = stall_seconds()
+    if timeout is not None:
+        stall = min(stall, max(float(timeout) * 0.5, 0.05))
+    return WorkerWatchdog(telemetry, HeartbeatBoard(), stall_after=stall)
+
+
+def wait_result(async_result, timeout, watchdog=None):
+    """``async_result.get(timeout)``, polling ``watchdog`` while waiting.
+
+    Without a watchdog this is a plain blocking ``get``.  With one, the wait
+    is sliced into ``poll_interval`` steps so heartbeat silence surfaces as
+    ``worker.stalled`` long before the deadline;
+    ``multiprocessing.TimeoutError`` is raised once the full ``timeout``
+    expires, exactly like the blocking path.
+    """
+    if watchdog is None:
+        return async_result.get(timeout)
+    import multiprocessing
+
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while True:
+        step = watchdog.poll_interval
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise multiprocessing.TimeoutError
+            step = min(step, remaining)
+        try:
+            return async_result.get(step)
+        except multiprocessing.TimeoutError:
+            watchdog.poll()
 
 
 # -- Chrome-trace / Perfetto export ---------------------------------------------------

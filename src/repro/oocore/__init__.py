@@ -7,17 +7,14 @@ The public surface:
   ``write_random_regular``, ``shard_static_graph``, ``ensure_sharded``)
   that emit shards bit-identical to the in-memory generators;
 * :class:`~repro.oocore.engine.OocoreColoringEngine` — the
-  ``backend="oocore"`` engine (partition-aware rounds, halo exchange);
+  ``backend="oocore"`` engine: the batch round loop over a sharded
+  state plane (partition-aware rounds, halo exchange);
 * :func:`~repro.oocore.engine.oocore_greedy` — sharded first-fit greedy.
 
 See DESIGN.md §9 for the shard layout and the halo-exchange protocol.
 """
 
-from repro.oocore.engine import (
-    OocoreColoringEngine,
-    OocoreRunResult,
-    oocore_greedy,
-)
+from repro.oocore.engine import OocoreColoringEngine, oocore_greedy
 from repro.oocore.store import (
     BUDGET_ENV,
     DIR_ENV,
@@ -42,7 +39,6 @@ __all__ = [
     "SHARDS_ENV",
     "MemoryBudgetError",
     "OocoreColoringEngine",
-    "OocoreRunResult",
     "ShardedCSRGraph",
     "ensure_sharded",
     "memory_budget",

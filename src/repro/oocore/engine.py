@@ -1,24 +1,22 @@
 """The out-of-core coloring engine: batch rounds over memory-mapped shards.
 
-:class:`OocoreColoringEngine` executes the same synchronous rounds as
-:class:`~repro.runtime.fast_engine.BatchColoringEngine` — same early exits,
-same metrics rows, same exceptions — but never holds more than one shard's
-working set plus the O(n) color planes resident.  Differential parity
-(colors, rounds, per-round metrics) against the in-memory batch engine is
-enforced by ``tests/test_oocore_engine.py`` at sizes where both fit.
+:class:`OocoreColoringEngine` is the batch round loop of
+:class:`~repro.runtime.fast_engine.BatchColoringEngine` running over a
+*sharded* state plane: same loop, same early exits, same metrics rows, same
+exceptions — but never more than one shard's working set plus the O(n)
+color planes resident.  Differential parity (colors, rounds, per-round
+metrics and telemetry rows) against the in-memory plane is enforced by
+``tests/test_oocore_engine.py`` at sizes where both fit.
 
-Round structure per stage run:
+The plane (:class:`~repro.parallel.partition.PartitionRunner`) per stage
+run:
 
 1. encode: ``batch_encode_initial`` shard by shard into the double-buffered
    state planes (:class:`~repro.oocore.store.PlaneStore` memmap files);
-2. rounds: a :class:`~repro.parallel.partition.PartitionRunner` steps every
-   shard on its local CSR, exchanging only boundary (halo) colors between
-   rounds; per-round ``changed``/``finalized``/``conflicts`` aggregate to
-   exactly the batch engine's numbers because vertex ownership is a
-   partition and forward edges are counted at their smaller endpoint;
-3. decode: ``batch_decode_final`` shard by shard (ascending, so the first
-   out-of-palette vertex matches the batch engine's error) into both the
-   persistent ``colors.i64`` plane and the result array.
+2. step: every shard steps on its local CSR, exchanging only boundary
+   (halo) colors between rounds, inline or in a fork pool;
+3. decode: ``batch_decode_final`` shard by shard into both the persistent
+   ``colors.i64`` plane and the result array.
 
 The engine refuses stages without the batch protocol (there is no scalar
 fallback out of core) and ``record_history`` (O(rounds * n) by definition).
@@ -30,87 +28,23 @@ shard with the wave-parallel kernel — bit-identical to
 
 import shutil
 import tempfile
-import time
 
-from repro.errors import ImproperColoringError, PaletteOverflowError
+from repro.baselines.greedy import first_fit_waves
 from repro.obs import core as obs
 from repro.oocore.store import (
-    MemoryBudgetError,
-    PlaneStore,
     ShardedCSRGraph,
-    memory_budget,
     peak_rss_bytes,
     release_pages,
     scratch_root,
 )
-from repro.runtime.algorithm import NetworkInfo
 from repro.runtime.csr import numpy_or_none
-from repro.runtime.engine import RunResult, Visibility
+from repro.runtime.engine import Visibility
 from repro.runtime.fast_engine import BatchColoringEngine, batch_supported
-from repro.runtime.metrics import MetricsLog, RoundMetrics
 
-__all__ = ["OocoreColoringEngine", "OocoreRunResult", "oocore_greedy"]
-
-#: Above this many vertices the engine stops pinning the full final state in
-#: RAM, and ``result.colors`` (scalar tuples) becomes unavailable — the
-#: decoded int64 array is the product at scale.
-_SCALAR_STATE_LIMIT = 1 << 22
+__all__ = ["OocoreColoringEngine", "oocore_greedy"]
 
 
-class OocoreRunResult(RunResult):
-    """A :class:`RunResult` that materializes its Python views lazily.
-
-    ``int_colors_array`` (the decoded int64 array) is the primary artifact;
-    ``int_colors`` and ``colors`` are derived on first access so a
-    10^7-vertex run does not pay for Python lists it never reads.
-    """
-
-    def __init__(self, stage, final_state, decoded, rounds_used, metrics):
-        self._stage = stage
-        self._final_state = final_state
-        self.rounds_used = rounds_used
-        self.metrics = metrics
-        self.history = None
-        self.int_colors_array = decoded
-        self._num_colors = None
-        self._int_colors = None
-        self._colors = None
-
-    @property
-    def int_colors(self):
-        """The final coloring as a plain-int list (memoized from the plane)."""
-        if self._int_colors is None:
-            self._int_colors = self.int_colors_array.tolist()
-        return self._int_colors
-
-    @property
-    def colors(self):
-        """The final scalar color tuples, matching the in-memory engines.
-
-        Only retained at test sizes: above ``_SCALAR_STATE_LIMIT`` vertices
-        the decoded state is dropped and this raises — use
-        :attr:`int_colors_array` at out-of-core scale.
-        """
-        if self._colors is None:
-            if self._final_state is None:
-                raise RuntimeError(
-                    "scalar color tuples are not retained above %d vertices; "
-                    "use result.int_colors_array" % _SCALAR_STATE_LIMIT
-                )
-            self._colors = BatchColoringEngine._to_scalar(
-                self._stage, self._final_state
-            )
-        return self._colors
-
-    @property
-    def num_colors(self):
-        if self._num_colors is None:
-            np = numpy_or_none()
-            self._num_colors = int(np.unique(self.int_colors_array).shape[0])
-        return self._num_colors
-
-
-class OocoreColoringEngine:
+class OocoreColoringEngine(BatchColoringEngine):
     """Drop-in engine (``backend=\"oocore\"``) over a sharded graph.
 
     Accepts a :class:`~repro.oocore.store.ShardedCSRGraph` directly, or any
@@ -123,6 +57,8 @@ class OocoreColoringEngine:
     the engine has to convert an in-memory graph.
     """
 
+    backend = "oocore"
+
     def __init__(
         self,
         graph,
@@ -133,8 +69,7 @@ class OocoreColoringEngine:
         workers=None,
         scratch=None,
     ):
-        np = numpy_or_none()
-        if np is None:
+        if numpy_or_none() is None:
             raise RuntimeError(
                 "backend='oocore' needs NumPy; install it with "
                 "`pip install repro[fast]`"
@@ -144,20 +79,21 @@ class OocoreColoringEngine:
                 "record_history is not supported by the oocore engine "
                 "(it is O(rounds * n) resident by definition)"
             )
-        self._np = np
         self._owned_dir = None
+        self._scratch_base = scratch or scratch_root()
         if not isinstance(graph, ShardedCSRGraph):
             from repro.oocore.writers import shard_static_graph
 
-            base = scratch or scratch_root()
-            self._owned_dir = tempfile.mkdtemp(prefix="repro-oocore-", dir=base)
+            self._owned_dir = tempfile.mkdtemp(
+                prefix="repro-oocore-", dir=self._scratch_base
+            )
             graph = shard_static_graph(graph, self._owned_dir, shards=shards)
-        self.graph = graph
-        self.visibility = visibility
-        self.check_proper_each_round = check_proper_each_round
-        self.record_history = False
+        super().__init__(
+            graph,
+            visibility=visibility,
+            check_proper_each_round=check_proper_each_round,
+        )
         self.workers = workers
-        self._scratch_base = scratch or scratch_root()
 
     def __del__(self):
         # getattr: __init__ may have raised before _owned_dir existed.
@@ -165,318 +101,28 @@ class OocoreColoringEngine:
         if owned is not None:
             shutil.rmtree(owned, ignore_errors=True)
 
-    # -- budget accounting ------------------------------------------------------
-
-    def _max_shard_extents(self):
-        np = self._np
-        graph = self.graph
-        indptr = graph._indptr_memmap()
-        max_k = max_slots = 0
-        for lo, hi in graph.ranges:
-            max_k = max(max_k, hi - lo)
-            max_slots = max(max_slots, int(indptr[hi]) - int(indptr[lo]))
-        return max_k, max_slots
-
-    def _enforce_budget(self, ncomp, budget):
-        """Planned resident bytes vs the configured budget (raise early).
-
-        Counted: the initial/decoded O(n) arrays, one shard's local CSR and
-        double state (old + new, owned + halo), and the halo planes.  The
-        state planes themselves are memmaps whose pages are dropped after
-        every shard task, so only one shard's window is charged.
-        """
-        graph = self.graph
-        max_k, max_slots = self._max_shard_extents()
-        max_h = 0
-        for i in range(graph.shards):
-            max_h = max(
-                max_h, graph.halo_offsets[i + 1] - graph.halo_offsets[i]
-            )
-        planned = 8 * (
-            2 * graph.n
-            + 6 * max_slots
-            + 2 * ncomp * (max_k + max_h)
-            + 2 * ncomp * max_k
-            + ncomp * graph.total_halo()
-        )
-        if planned > budget:
-            raise MemoryBudgetError(
-                "planned resident footprint %d bytes exceeds "
-                "REPRO_OOCORE_BUDGET=%d (n=%d, shards=%d, ncomp=%d); "
-                "raise the budget or the shard count"
-                % (planned, budget, graph.n, graph.shards, ncomp)
-            )
-        return planned
-
-    # -- the run loop -----------------------------------------------------------
-
     def run(self, stage, initial_coloring, in_palette_size=None,
             max_rounds=None, configure=True):
         """Execute ``stage``; contract and outputs as the batch engine."""
         with obs.active().span(
             "engine.run", stage=getattr(stage, "name", "stage"), backend="oocore"
         ):
-            return self._run_impl(
+            if not batch_supported(stage):
+                raise RuntimeError(
+                    "stage %s has no batch kernel; the oocore engine requires "
+                    "the batch protocol" % getattr(stage, "name", stage)
+                )
+            return self._run_batch(
                 stage, initial_coloring, in_palette_size, max_rounds, configure
             )
 
-    def _run_impl(self, stage, initial_coloring, in_palette_size,
-                  max_rounds, configure):
-        np = self._np
-        graph = self.graph
-        if not batch_supported(stage):
-            raise RuntimeError(
-                "stage %s has no batch kernel; the oocore engine requires "
-                "the batch protocol" % getattr(stage, "name", stage)
-            )
-        if len(initial_coloring) != graph.n:
-            raise ValueError("initial coloring must assign a color to every vertex")
-        initial = np.asarray(initial_coloring, dtype=np.int64)
-        if in_palette_size is None:
-            in_palette_size = (int(initial.max()) + 1) if graph.n else 1
-        if configure:
-            stage.configure(NetworkInfo(graph.n, graph.max_degree, in_palette_size))
+    def _open_plane(self, stage):
+        from repro.parallel.partition import PartitionRunner
 
-        budget = memory_budget()
-        tel = obs.active()
-        recording = tel.enabled
-        run_start = time.perf_counter() if recording else 0.0
-        round_rows = [] if recording else None
-        profiler = None
-        sampling = False
-        if recording:
-            # REPRO_PROFILE=1 turns the single end-of-run VmHWM reading into
-            # a real memory timeline: RSS/CPU samples plus shard-residency
-            # gauges every REPRO_PROFILE_INTERVAL seconds.
-            from repro.obs import flight
-
-            profiler = flight.maybe_profiler(tel)
-
-        scratch = tempfile.mkdtemp(prefix="repro-oocore-planes-", dir=self._scratch_base)
-        planes = None
-        runner = None
-        io_read = io_written = halo_bytes_total = 0
-        try:
-            # Encode shard by shard; the first shard reveals the component
-            # count so the planes can be sized.
-            planes = None
-            all_final = True
-            for lo, hi in graph.ranges:
-                if hi == lo:
-                    continue
-                state = stage.batch_encode_initial(initial[lo:hi])
-                if planes is None:
-                    planes = PlaneStore(scratch, graph.n, len(state))
-                    if budget is not None:
-                        self._enforce_budget(len(state), budget)
-                for comp, column in enumerate(state):
-                    planes.view(0, comp)[lo:hi] = column
-                    io_written += column.nbytes
-                all_final = all_final and bool(stage.batch_is_final(state).all())
-            if planes is None:  # empty graph
-                state = stage.batch_encode_initial(initial)
-                planes = PlaneStore(scratch, graph.n, len(state))
-            planes.release_resident()
-
-            from repro.parallel.partition import PartitionRunner
-
-            cache_bytes = (budget // 4) if budget is not None else (256 << 20)
-            runner = PartitionRunner(
-                graph, planes, stage, self.visibility,
-                workers=self.workers, cache_bytes=cache_bytes,
-                release_planes=budget is not None,
-            )
-            if profiler is not None:
-                # Shard-residency gauges ride along with every RSS sample:
-                # how much plane/halo state the round loop keeps hot.
-                from repro.obs import flight
-
-                ncomp = planes.ncomp
-
-                def _residency():
-                    return {
-                        "oocore.shards": graph.shards,
-                        "oocore.plane_bytes": 16 * graph.n * ncomp,
-                        "oocore.halo_slots": runner._halo_slots,
-                        "oocore.cache_bytes": cache_bytes,
-                    }
-
-                flight.register_sampler("oocore", _residency)
-                sampling = True
-
-            metrics = MetricsLog()
-            if self.check_proper_each_round and stage.maintains_proper:
-                self._assert_proper(stage, planes, 0, -1)
-
-            bound = stage.rounds_bound if max_rounds is None else max_rounds
-            rounds_used = 0
-            src = 0
-            for round_index in range(bound):
-                if all_final:
-                    break
-                if recording:
-                    round_start = time.perf_counter()
-                agg = runner.run_round(
-                    round_index, src, want_conflicts=recording
-                )
-                changed = agg["changed"]
-                messages = 2 * graph.m
-                bits = messages * stage.message_bits(round_index)
-                metrics.record(RoundMetrics(round_index, messages, bits, changed))
-                src = 1 - src
-                rounds_used += 1
-                all_final = agg["all_final"]
-                io_read += agg["io_read"]
-                io_written += agg["io_written"]
-                halo_bytes_total += agg["halo_bytes"]
-                if recording:
-                    round_rows.append({
-                        "round": round_index,
-                        "messages": messages,
-                        "bits": bits,
-                        "changed": changed,
-                        "finalized": agg["finalized"],
-                        "conflicts": agg["conflicts"],
-                        "seconds": time.perf_counter() - round_start,
-                    })
-                if self.check_proper_each_round and stage.maintains_proper:
-                    self._assert_proper(stage, planes, src, round_index)
-                if changed == 0 and (
-                    stage.uniform_step
-                    or (
-                        stage.uniform_after is not None
-                        and round_index >= stage.uniform_after
-                    )
-                ):
-                    # Fixed point of a round-independent rule: identical
-                    # early exit to both in-memory engines.
-                    break
-
-            decoded, final_state = self._decode(stage, planes, src)
-            if recording:
-                self._record_run(
-                    tel, stage, in_palette_size, rounds_used, metrics,
-                    round_rows, time.perf_counter() - run_start,
-                    io_read, io_written, halo_bytes_total,
-                )
-            result = OocoreRunResult(stage, final_state, decoded, rounds_used, metrics)
-            return result
-        finally:
-            if profiler is not None:
-                if sampling:
-                    from repro.obs import flight
-
-                    flight.unregister_sampler("oocore")
-                profiler.stop()
-            if runner is not None:
-                runner.close()
-            if planes is not None:
-                planes.close()
-            shutil.rmtree(scratch, ignore_errors=True)
-
-    def _decode(self, stage, planes, src):
-        """Shard-by-shard decode into the colors plane and the result array.
-
-        Ascending shard order makes the first out-of-palette vertex global-
-        index-identical to the batch engine's ``PaletteOverflowError``.
-        """
-        np = self._np
-        graph = self.graph
-        decoded = np.empty(graph.n, dtype=np.int64)
-        out = stage.out_palette_size
-        colors_plane = graph.colors_plane() if graph.n else None
-        for lo, hi in graph.ranges:
-            if hi == lo:
-                continue
-            state = tuple(
-                np.array(planes.view(src, comp)[lo:hi])
-                for comp in range(planes.ncomp)
-            )
-            part = stage.batch_decode_final(state)
-            bad = (part < 0) | (part >= out)
-            if bool(bad.any()):
-                i = int(np.argmax(bad))
-                raise PaletteOverflowError(
-                    "vertex %d got color %r outside palette of size %d (stage %s)"
-                    % (lo + i, int(part[i]), out, stage.name)
-                )
-            decoded[lo:hi] = part
-            colors_plane[lo:hi] = part
-        if colors_plane is not None:
-            release_pages(colors_plane)
-        graph.release_resident()
-        # Lazy scalar views (``result.colors``) need the full final state;
-        # pin it only while that is cheap.  At out-of-core sizes the decoded
-        # array is the product and scalar tuples stay unavailable.
-        if graph.n <= _SCALAR_STATE_LIMIT:
-            final_state = tuple(
-                np.array(planes.view(src, comp)[: graph.n])
-                for comp in range(planes.ncomp)
-            )
-        else:
-            final_state = None
-        return decoded, final_state
-
-    def _assert_proper(self, stage, planes, src, round_index):
-        """Mirror of the batch engine's per-round properness assertion."""
-        np = self._np
-        graph = self.graph
-        for shard_id in range(graph.shards):
-            local = graph.local(shard_id)
-            if local.lindices.shape[0] == 0:
-                continue
-            state = tuple(
-                np.concatenate([
-                    np.array(planes.view(src, comp)[local.lo:local.hi]),
-                    np.asarray(planes.view(src, comp))[local.halo],
-                ])
-                for comp in range(planes.ncomp)
-            )
-            fwd = local.global_indices() > local.owner_globals()
-            if not bool(fwd.any()):
-                continue
-            rows = local.csr().rows[: local.lindices.shape[0]][fwd]
-            nbrs = local.lindices[fwd]
-            equal = np.ones(rows.shape[0], dtype=bool)
-            for comp in state:
-                equal &= comp[nbrs] == comp[rows]
-            if bool(equal.any()):
-                i = int(np.argmax(equal))
-                u = int(rows[i]) + local.lo
-                v = int(local.global_indices()[np.nonzero(fwd)[0][i]])
-                color_state = tuple(
-                    np.array([comp[int(rows[i])]]) for comp in state
-                )
-                color = BatchColoringEngine._to_scalar(stage, color_state)[0]
-                raise ImproperColoringError(round_index, (u, v), color)
-
-    def _record_run(self, tel, stage, in_palette, rounds_used, metrics,
-                    round_rows, wall_seconds, io_read, io_written, halo_bytes):
-        graph = self.graph
-        tel.event(
-            "engine.run",
-            stage=stage.name,
-            backend="oocore",
-            n=graph.n,
-            m=graph.m,
-            delta=graph.max_degree,
-            in_palette=in_palette,
-            out_palette=stage.out_palette_size,
-            rounds_used=rounds_used,
-            total_messages=metrics.total_messages,
-            total_bits=metrics.total_bits,
-            rounds=round_rows,
-            wall_seconds=wall_seconds,
+        return PartitionRunner(
+            self.graph, stage, self.visibility, workers=self.workers,
+            scratch=self._scratch_base,
         )
-        tel.counter("engine.runs", stage=stage.name)
-        tel.counter("engine.rounds", rounds_used, stage=stage.name)
-        tel.histogram("engine.run_seconds", wall_seconds, stage=stage.name)
-        tel.counter("oocore.shard_io.bytes_read", io_read, stage=stage.name)
-        tel.counter("oocore.shard_io.bytes_written", io_written, stage=stage.name)
-        tel.counter("oocore.halo.bytes", halo_bytes, stage=stage.name)
-        rss = peak_rss_bytes()
-        if rss is not None:
-            tel.gauge("oocore.peak_rss_bytes", rss)
 
 
 def oocore_greedy(graph, order=None):
@@ -535,63 +181,16 @@ def _oocore_greedy_impl(graph, order, tel):
         if h:
             colors_local[k:] = plane[local.halo]
             halo_bytes += 8 * h
-        # Occupancy half: every earlier neighbor (owned or halo).  Countdown
-        # half: later in-shard neighbors only — later out-of-shard vertices
-        # belong to later shards and are not gated here.
-        e_rows = rows[earlier]
-        e_nbrs = local.lindices[earlier]
-        e_counts = np.bincount(e_rows, minlength=k)
-        e_indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(e_counts, out=e_indptr[1:])
-        e_order = np.argsort(e_rows, kind="stable")
-        e_indices = e_nbrs[e_order]
-        later_in = (~earlier) & (sl_global < local.hi)
-        l_rows = rows[later_in]
-        l_counts = np.bincount(l_rows, minlength=k)
-        l_indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(l_counts, out=l_indptr[1:])
-        l_order = np.argsort(l_rows, kind="stable")
-        l_indices = local.lindices[later_in][l_order]
-        # In-shard earlier neighbors gate readiness (halo ones are colored).
-        indeg = np.bincount(
-            rows[earlier & (sl_global >= local.lo)], minlength=k
+        # Occupancy: every earlier neighbor (owned or halo; halo ones sit in
+        # earlier shards and are colored).  Countdown: later in-shard
+        # neighbors only — later shards are not gated here.
+        in_shard = sl_global >= local.lo
+        first_fit_waves(
+            np, rows, local.lindices, earlier,
+            (~earlier) & (sl_global < local.hi),
+            np.bincount(rows[earlier & in_shard], minlength=k),
+            colors_local, palette,
         )
-
-        def gather(indptr, indices, wave, repeats):
-            starts = indptr[wave]
-            lens = indptr[wave + 1] - starts
-            total = int(lens.sum())
-            if total == 0:
-                empty = np.zeros(0, dtype=np.int64)
-                return empty, empty
-            shift = np.cumsum(lens) - lens
-            slot = np.repeat(starts - shift, lens) + np.arange(total, dtype=np.int64)
-            spread = np.repeat(repeats, lens) if repeats is not None else None
-            return indices[slot], spread
-
-        wave = np.nonzero(indeg == 0)[0]
-        indeg[wave] = -1
-        remaining = k
-        while wave.size:
-            width = wave.size
-            taken, key_base = gather(
-                e_indptr, e_indices, wave,
-                np.arange(width, dtype=np.int64) * palette,
-            )
-            occupancy = np.bincount(
-                key_base + colors_local[taken], minlength=width * palette
-            ) if taken.size else np.zeros(width * palette, dtype=np.int64)
-            colors_local[wave] = (
-                occupancy.reshape(width, palette) == 0
-            ).argmax(axis=1)
-            remaining -= width
-            if remaining == 0:
-                break
-            later, _ = gather(l_indptr, l_indices, wave, None)
-            if later.size:
-                indeg -= np.bincount(later, minlength=k)
-            wave = np.nonzero(indeg == 0)[0]
-            indeg[wave] = -1
         plane[local.lo:local.hi] = colors_local[:k]
         io_written += 8 * k
         release_pages(plane)

@@ -373,7 +373,7 @@ Result.register(BaselineReport)
 
 
 def _alg_greedy(graph, backend="auto", seed=1, order=None, **params):
-    """Sequential first-fit oracle (wave-parallel / native on the fast path).
+    """Sequential first-fit oracle (wave-parallel on the fast path).
 
     Not distributed: ``rounds`` is the number of sequential vertex visits.
     """

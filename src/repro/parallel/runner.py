@@ -41,7 +41,6 @@ it never engages at all.
 """
 
 import os
-import time
 
 from repro.obs import core as obs
 from repro.parallel.jobs import (
@@ -282,43 +281,18 @@ class JobRunner:
         set): a ``worker.stalled`` event that can only fire after the timeout
         already killed the pool would be useless.
         """
-        if self.watchdog is False or not tel.enabled:
+        if self.watchdog is False:
             return None
         from repro.obs import flight
 
-        if not flight.watchdog_enabled():
-            return None
-        stall = flight.stall_seconds()
-        if self.timeout is not None:
-            stall = min(stall, max(float(self.timeout) * 0.5, 0.05))
-        return flight.WorkerWatchdog(tel, flight.HeartbeatBoard(), stall_after=stall)
+        return flight.pool_watchdog(tel, self.timeout)
 
     def _wait(self, handle, njobs, watchdog):
-        """Wait for one chunk's results, polling the watchdog meanwhile.
-
-        Without a watchdog this is a plain blocking ``get``.  With one, the
-        wait is sliced into ``poll_interval`` steps so heartbeat silence
-        surfaces as ``worker.stalled`` long before the chunk deadline;
-        ``multiprocessing.TimeoutError`` is raised once the full per-chunk
-        budget expires, exactly like the blocking path.
-        """
-        import multiprocessing
+        """Wait for one chunk's results (per-chunk budget), polling the watchdog."""
+        from repro.obs import flight
 
         total = self.timeout * njobs if self.timeout is not None else None
-        if watchdog is None:
-            return handle.get(total)
-        deadline = None if total is None else time.monotonic() + total
-        while True:
-            step = watchdog.poll_interval
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise multiprocessing.TimeoutError
-                step = min(step, remaining)
-            try:
-                return handle.get(step)
-            except multiprocessing.TimeoutError:
-                watchdog.poll()
+        return flight.wait_result(handle, total, watchdog)
 
     def _map_pool(self, specs, collect):
         import multiprocessing

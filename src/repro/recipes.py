@@ -1,9 +1,8 @@
 """End-to-end coloring recipes.
 
-This module is the canonical home of the ready-made pipelines (it was
-``repro.core.pipeline``, a name that collided confusingly with
-:mod:`repro.runtime.pipeline`, the stage-composition machinery; the old
-import path keeps working as a shim).
+This module is the home of the ready-made pipelines (distinct from
+:mod:`repro.runtime.pipeline`, the stage-composition machinery; the
+:mod:`repro.core` package re-exports the main entry points).
 
 * :func:`delta_plus_one_coloring` — **Corollary 3.6**, the headline result:
   Linial (``log* n + O(1)`` rounds) -> AG (``O(Delta)``) -> standard color

@@ -9,17 +9,14 @@ One registry constructs every execution engine, keyed by *kind*:
   (:class:`~repro.selfstab.engine.SelfStabEngine` /
   :class:`~repro.selfstab.fast_engine.BatchSelfStabEngine`).
 
-Every kind exposes the same four backend names:
+Every kind exposes the same three backend names (``"engine"`` adds
+``"oocore"``, the out-of-core engine over memory-mapped shards):
 
 * ``"auto"`` — the vectorized batch engine when NumPy is available (and,
   when the caller passes the relevant hint, when the workload supports the
   batch protocol); the pure-Python reference engine otherwise;
 * ``"batch"`` — force the vectorized engine; raises :class:`RuntimeError`
   when NumPy is missing;
-* ``"numba"`` — the batch engine with :mod:`repro.runtime.native`'s fused
-  Numba kernels enabled; degrades along ``numba -> batch -> reference``
-  (no Numba: ordinary batch rounds; no NumPy: the reference engine) with
-  bit-identical results at every tier;
 * ``"reference"`` — force the pure-Python reference engine.
 
 Usage::
@@ -116,26 +113,6 @@ def _engine_batch(graph, stages=None, **kwargs):
     return BatchColoringEngine(graph, **kwargs)
 
 
-def _engine_numba(graph, stages=None, **kwargs):
-    """The native-kernel engine: Numba-fused rounds on top of the batch engine.
-
-    Degrades along the documented fallback order ``numba -> batch ->
-    reference``: without Numba (or for stages with no fused kernel) the
-    returned engine simply runs the ordinary NumPy batch rounds; without
-    NumPy it is the pure-Python reference engine.  Results are bit-identical
-    at every tier.
-    """
-    from repro.runtime.csr import numpy_available
-
-    if not numpy_available():
-        from repro.runtime.engine import ColoringEngine
-
-        return ColoringEngine(graph, **kwargs)
-    from repro.runtime.fast_engine import BatchColoringEngine
-
-    return BatchColoringEngine(graph, native=True, **kwargs)
-
-
 def _engine_auto(graph, stages=None, **kwargs):
     """Batch when NumPy is up and every hinted stage supports it, else
     reference.  The batch engine falls back to the scalar path per-stage, so
@@ -196,19 +173,6 @@ def _selfstab_batch(graph, algorithm, **kwargs):
     return BatchSelfStabEngine(graph, algorithm, **kwargs)
 
 
-def _selfstab_numba(graph, algorithm, **kwargs):
-    """Native-kernel self-stabilization engine (fallback order as ``engine``)."""
-    from repro.runtime.csr import numpy_available
-
-    if not numpy_available():
-        from repro.selfstab.engine import SelfStabEngine
-
-        return SelfStabEngine(graph, algorithm, **kwargs)
-    from repro.selfstab.fast_engine import BatchSelfStabEngine
-
-    return BatchSelfStabEngine(graph, algorithm, native=True, **kwargs)
-
-
 def _selfstab_auto(graph, algorithm, **kwargs):
     """Batch when NumPy is up and the algorithm has batch transitions."""
     from repro.runtime.csr import numpy_available
@@ -223,12 +187,10 @@ def _selfstab_auto(graph, algorithm, **kwargs):
 
 register_backend("engine", "auto", _engine_auto)
 register_backend("engine", "batch", _engine_batch)
-register_backend("engine", "numba", _engine_numba)
 register_backend("engine", "oocore", _engine_oocore)
 register_backend("engine", "reference", _engine_reference)
 register_backend("selfstab", "auto", _selfstab_auto)
 register_backend("selfstab", "batch", _selfstab_batch)
-register_backend("selfstab", "numba", _selfstab_numba)
 register_backend("selfstab", "reference", _selfstab_reference)
 
 #: The kinds shipped by the package itself.

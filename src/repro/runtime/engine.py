@@ -58,22 +58,49 @@ class RunResult:
         ``int_colors`` as an int64 NumPy array when the run came off the
         vectorized batch path, ``None`` otherwise.  Pipelines use it to keep
         the color vector an ndarray across stage boundaries.
+
+    The batch engine hands over ``int_colors_array`` with ``int_colors=None``
+    and ``colors`` as a zero-argument function: both Python views are then
+    built on first access, so a run whose colors only feed the next stage
+    (or a 10^7-vertex out-of-core run) never pays for them.
     """
 
-    def __init__(self, colors, int_colors, rounds_used, metrics, history):
-        self.colors = colors
-        self.int_colors = int_colors
+    def __init__(self, colors, int_colors, rounds_used, metrics, history,
+                 int_colors_array=None):
+        self._colors = colors
+        self._int_colors = int_colors
         self.rounds_used = rounds_used
         self.metrics = metrics
         self.history = history
-        self.int_colors_array = None
+        self.int_colors_array = int_colors_array
         self._num_colors = None
+
+    @property
+    def colors(self):
+        """Final internal colors, indexed by vertex (built on first access)."""
+        if callable(self._colors):
+            self._colors = self._colors()
+        return self._colors
+
+    @property
+    def int_colors(self):
+        """Final decoded colors as a plain-int list (built on first access)."""
+        if self._int_colors is None:
+            self._int_colors = self.int_colors_array.tolist()
+        return self._int_colors
 
     @property
     def num_colors(self):
         """Distinct decoded colors in the final coloring (memoized)."""
         if self._num_colors is None:
-            self._num_colors = len(set(self.int_colors))
+            if self._int_colors is None:
+                # Array-backed: count without materializing the list.
+                from repro.runtime.csr import numpy_or_none
+
+                unique = numpy_or_none().unique(self.int_colors_array)
+                self._num_colors = int(unique.shape[0])
+            else:
+                self._num_colors = len(set(self._int_colors))
         return self._num_colors
 
     @property

@@ -1,4 +1,4 @@
-"""The vectorized batch-step engine.
+"""The vectorized batch-step engine: the one batch round loop.
 
 :class:`BatchColoringEngine` executes the same synchronous rounds as
 :class:`~repro.runtime.engine.ColoringEngine`, but holds the whole coloring
@@ -37,8 +37,21 @@ Stages without ``step_batch`` simply fall back to the scalar path — a
 :class:`BatchColoringEngine` is always safe to use, and the
 :mod:`repro.runtime.backends` registry is the front door that picks the
 best backend (``resolve_backend("engine", "auto")``).
+
+State planes
+------------
+The round loop is written once, here, and runs over a *state plane* that
+owns the stage state between rounds: ``encode(initial)``, ``step(round_index,
+want_conflicts)``, ``first_conflict()``, ``decode()`` and ``close()`` (see
+:class:`MemoryPlane`).  :class:`MemoryPlane` keeps the state tuple in RAM
+and steps it with one ``step_batch`` call on the whole CSR; the out-of-core
+engine (:class:`~repro.oocore.engine.OocoreColoringEngine`) plugs in the
+sharded plane of :mod:`repro.parallel.partition`.  Both planes count
+through :func:`round_counts` and :func:`equal_pairs`, so the two tiers
+count the same way by construction.
 """
 
+import functools
 import time
 
 from repro.errors import ImproperColoringError, PaletteOverflowError
@@ -50,7 +63,10 @@ from repro.runtime.metrics import MetricsLog, RoundMetrics
 
 __all__ = [
     "BatchColoringEngine",
+    "MemoryPlane",
     "batch_supported",
+    "equal_pairs",
+    "round_counts",
     "scalar_replay_round",
     "BACKENDS",
 ]
@@ -89,6 +105,109 @@ def scalar_replay_round(stage, round_index, colors, csr, visibility):
         stage.step(round_index, colors[v], view)
 
 
+def to_scalar(stage, state):
+    """The state as the scalar engine's internal color list."""
+    if hasattr(stage, "batch_to_scalar"):
+        return stage.batch_to_scalar(state)
+    return list(zip(*(component.tolist() for component in state)))
+
+
+def scalar_color(stage, state, row):
+    """The scalar internal color of one row of ``state``."""
+    return to_scalar(stage, tuple(column[row:row + 1] for column in state))[0]
+
+
+def round_counts(stage, old, new, k):
+    """``(changed, finalized, all_final)`` of one round over rows ``[0, k)``.
+
+    Rows past ``k`` (a shard's halo copies) are ignored.  Both state planes
+    count through here, so a sharded run sums to exactly the in-memory
+    numbers: vertex ownership is a partition.
+    """
+    np = numpy_or_none()
+    changed = 0
+    if k:
+        mask = np.zeros(k, dtype=bool)
+        for before, after in zip(old, new):
+            mask |= before[:k] != after[:k]
+        changed = int(mask.sum())
+    final = stage.batch_is_final(tuple(column[:k] for column in new))
+    return changed, int(final.sum()), bool(final.all())
+
+
+def equal_pairs(state, rows, nbrs):
+    """Mask over the edges ``(rows[i], nbrs[i])`` whose endpoints match.
+
+    Component-wise equality over the state columns — for every stage whose
+    scalar colors are plain int tuples this matches the reference engine's
+    full-color comparison exactly.  Conflict counts and the per-round
+    properness check both read it.
+    """
+    np = numpy_or_none()
+    equal = np.ones(rows.shape[0], dtype=bool)
+    for column in state:
+        equal &= column[rows] == column[nbrs]
+    return equal
+
+
+def _scalar_colors_dropped():
+    raise RuntimeError(
+        "scalar color tuples are not retained at this size; "
+        "use result.int_colors_array"
+    )
+
+
+class MemoryPlane:
+    """The in-memory state plane: the state tuple stays in RAM.
+
+    Each round is one ``step_batch`` call on the graph's whole CSR; edges
+    are the CSR's sorted forward pairs ``edge_u < edge_v``.  Its methods
+    are the plane protocol the round loop calls.
+    """
+
+    def __init__(self, csr, stage, visibility):
+        self.csr = csr
+        self.stage = stage
+        self.visibility = visibility
+        self.state = None
+
+    def encode(self, initial):
+        """Encode the initial colors; True iff every vertex starts final."""
+        self.state = self.stage.batch_encode_initial(initial)
+        return bool(self.stage.batch_is_final(self.state).all())
+
+    def step(self, round_index, want_conflicts):
+        """One round; ``(changed, finalized, all_final, conflicts)``."""
+        csr = self.csr
+        new_state = self.stage.step_batch(
+            round_index, self.state, csr, self.visibility
+        )
+        counts = round_counts(self.stage, self.state, new_state, csr.n)
+        self.state = new_state
+        conflicts = 0
+        if want_conflicts:
+            conflicts = int(equal_pairs(new_state, csr.edge_u, csr.edge_v).sum())
+        return counts + (conflicts,)
+
+    def first_conflict(self):
+        """The first improper edge as ``(u, v, scalar color of u)``, or None."""
+        np = numpy_or_none()
+        equal = equal_pairs(self.state, self.csr.edge_u, self.csr.edge_v)
+        if not bool(equal.any()):
+            return None
+        i = int(np.argmax(equal))
+        u = int(self.csr.edge_u[i])
+        return u, int(self.csr.edge_v[i]), scalar_color(self.stage, self.state, u)
+
+    def decode(self):
+        """``(decoded int64 colors, final state)``; a plane may return None
+        for a final state too large to keep."""
+        return self.stage.batch_decode_final(self.state), self.state
+
+    def close(self):
+        """Nothing to release: the state is plain arrays."""
+
+
 class BatchColoringEngine(ColoringEngine):
     """Drop-in :class:`ColoringEngine` that vectorizes supporting stages.
 
@@ -96,42 +215,13 @@ class BatchColoringEngine(ColoringEngine):
     the inner loop differs.  A stage without ``step_batch`` (or a run with
     NumPy disabled) transparently uses the inherited scalar path.
 
-    ``native=True`` routes rounds of covered stages through the Numba
-    kernels of :mod:`repro.runtime.native` — bit-identical output, one fused
-    pass per round instead of several array temporaries.  Stages without a
-    kernel (and environments without Numba) silently keep the NumPy path:
-    the documented ``numba -> batch -> reference`` fallback order.  The
-    default comes from ``REPRO_NATIVE=1``, which is how CI runs the
-    differential suites against the native kernels unmodified.
+    The round loop runs over the plane :meth:`_open_plane` returns — here
+    the in-memory :class:`MemoryPlane`; the out-of-core engine swaps in its
+    sharded plane and inherits everything else.
     """
 
-    def __init__(
-        self,
-        graph,
-        visibility=Visibility.LOCAL,
-        check_proper_each_round=False,
-        record_history=False,
-        native=None,
-    ):
-        super().__init__(
-            graph,
-            visibility=visibility,
-            check_proper_each_round=check_proper_each_round,
-            record_history=record_history,
-        )
-        if native is None:
-            from repro.runtime.native import native_default
-
-            native = native_default()
-        self.native = bool(native)
-
-    def _native_step(self, stage):
-        """The stage's native round kernel, or None for the NumPy path."""
-        if not self.native:
-            return None
-        from repro.runtime import native
-
-        return native.engine_kernel_for(stage)
+    #: The ``backend`` tag of the ``engine.run`` span and record.
+    backend = "batch"
 
     def run(
         self,
@@ -174,7 +264,18 @@ class BatchColoringEngine(ColoringEngine):
                 stage, initial_coloring, in_palette_size, max_rounds, configure
             )
 
-    # -- vectorized path --------------------------------------------------------
+    # -- the round loop ---------------------------------------------------------
+
+    def _open_plane(self, stage):
+        """The state plane one stage run steps (in RAM here)."""
+        return MemoryPlane(self.graph.csr(), stage, self.visibility)
+
+    def _check_proper(self, plane, stage, round_index):
+        if self.check_proper_each_round and stage.maintains_proper:
+            conflict = plane.first_conflict()
+            if conflict is not None:
+                u, v, color = conflict
+                raise ImproperColoringError(round_index, (u, v), color)
 
     def _run_batch(self, stage, initial_coloring, in_palette_size, max_rounds, configure):
         np = numpy_or_none()
@@ -189,127 +290,85 @@ class BatchColoringEngine(ColoringEngine):
         if configure:
             stage.configure(NetworkInfo(graph.n, graph.max_degree, in_palette_size))
 
-        csr = graph.csr()
-        state = stage.batch_encode_initial(initial)
-        metrics = MetricsLog()
-        history = [self._to_scalar(stage, state)] if self.record_history else None
-
         tel = obs.active()
         recording = tel.enabled
         run_start = time.perf_counter() if recording else 0.0
         round_rows = [] if recording else None
+        metrics = MetricsLog()
 
-        native_step = self._native_step(stage)
-        if native_step is not None and recording:
-            tel.counter("engine.native_kernel", stage=stage.name)
+        plane = self._open_plane(stage)
+        try:
+            all_final = plane.encode(initial)
+            history = (
+                [to_scalar(stage, plane.state)] if self.record_history else None
+            )
+            self._check_proper(plane, stage, -1)
 
-        if self.check_proper_each_round and stage.maintains_proper:
-            self._assert_proper_batch(stage, state, csr, -1)
-
-        bound = stage.rounds_bound if max_rounds is None else max_rounds
-        rounds_used = 0
-        for round_index in range(bound):
-            if bool(stage.batch_is_final(state).all()):
-                break
-            if recording:
-                round_start = time.perf_counter()
-            if native_step is not None:
-                new_state = native_step(stage, round_index, state, csr, self.visibility)
-            else:
-                new_state = stage.step_batch(round_index, state, csr, self.visibility)
-            changed = 0
-            if graph.n:
-                changed_mask = np.zeros(graph.n, dtype=bool)
-                for old, new in zip(state, new_state):
-                    changed_mask |= old != new
-                changed = int(changed_mask.sum())
-            messages = 2 * graph.m
-            bits = messages * stage.message_bits(round_index)
-            metrics.record(RoundMetrics(round_index, messages, bits, changed))
-            state = new_state
-            rounds_used += 1
-            if recording:
-                round_rows.append(
-                    {
-                        "round": round_index,
-                        "messages": messages,
-                        "bits": bits,
-                        "changed": changed,
-                        "finalized": int(stage.batch_is_final(state).sum()),
-                        "conflicts": self._count_conflicts(np, csr, state),
-                        "seconds": time.perf_counter() - round_start,
-                    }
+            bound = stage.rounds_bound if max_rounds is None else max_rounds
+            rounds_used = 0
+            for round_index in range(bound):
+                if all_final:
+                    break
+                if recording:
+                    round_start = time.perf_counter()
+                changed, finalized, all_final, conflicts = plane.step(
+                    round_index, recording
                 )
-            if self.record_history:
-                history.append(self._to_scalar(stage, state))
-            if self.check_proper_each_round and stage.maintains_proper:
-                self._assert_proper_batch(stage, state, csr, round_index)
-            if changed == 0 and (
-                stage.uniform_step
-                or (
-                    stage.uniform_after is not None
-                    and round_index >= stage.uniform_after
-                )
-            ):
-                # Fixed point of a round-independent rule (or of a stage's
-                # declared uniform tail): every later round would repeat this
-                # no-op verbatim, so stop.  The reference engine applies the
-                # identical early exit.
-                break
+                messages = 2 * graph.m
+                bits = messages * stage.message_bits(round_index)
+                metrics.record(RoundMetrics(round_index, messages, bits, changed))
+                rounds_used += 1
+                if recording:
+                    round_rows.append(
+                        {
+                            "round": round_index,
+                            "messages": messages,
+                            "bits": bits,
+                            "changed": changed,
+                            "finalized": finalized,
+                            "conflicts": conflicts,
+                            "seconds": time.perf_counter() - round_start,
+                        }
+                    )
+                if self.record_history:
+                    history.append(to_scalar(stage, plane.state))
+                self._check_proper(plane, stage, round_index)
+                if changed == 0 and (
+                    stage.uniform_step
+                    or (
+                        stage.uniform_after is not None
+                        and round_index >= stage.uniform_after
+                    )
+                ):
+                    # Fixed point of a round-independent rule (or of a stage's
+                    # declared uniform tail): every later round would repeat
+                    # this no-op verbatim, so stop.  The reference engine
+                    # applies the identical early exit.
+                    break
 
-        decoded = stage.batch_decode_final(state)
-        int_colors = decoded.tolist()
+            decoded, final_state = plane.decode()
+        finally:
+            plane.close()
         out = stage.out_palette_size
         bad = (decoded < 0) | (decoded >= out)
         if bool(bad.any()):
             v = int(np.argmax(bad))
             raise PaletteOverflowError(
                 "vertex %d got color %r outside palette of size %d (stage %s)"
-                % (v, int_colors[v], out, stage.name)
+                % (v, int(decoded[v]), out, stage.name)
             )
-        colors = self._to_scalar(stage, state)
         if recording:
             self._record_run(
-                tel, stage, "batch", in_palette_size, rounds_used, metrics,
+                tel, stage, self.backend, in_palette_size, rounds_used, metrics,
                 round_rows, time.perf_counter() - run_start,
             )
-        result = RunResult(colors, int_colors, rounds_used, metrics, history)
-        # Batch-aware pipelines chain this array into the next stage without
-        # round-tripping through the decoded Python list.
-        result.int_colors_array = decoded
-        return result
-
-    @staticmethod
-    def _count_conflicts(np, csr, state):
-        """Edges whose endpoints hold identical internal colors (telemetry).
-
-        Component-wise equality over the state columns — for every stage
-        whose scalar colors are plain int tuples this matches the reference
-        engine's full-color comparison exactly.
-        """
-        if csr.m == 0:
-            return 0
-        equal = np.ones(csr.m, dtype=bool)
-        for component in state:
-            equal &= component[csr.edge_u] == component[csr.edge_v]
-        return int(equal.sum())
-
-    @staticmethod
-    def _to_scalar(stage, state):
-        """The state as the scalar engine's internal color list."""
-        if hasattr(stage, "batch_to_scalar"):
-            return stage.batch_to_scalar(state)
-        return list(zip(*(component.tolist() for component in state)))
-
-    def _assert_proper_batch(self, stage, state, csr, round_index):
-        np = numpy_or_none()
-        if csr.m == 0:
-            return
-        equal = np.ones(csr.m, dtype=bool)
-        for component in state:
-            equal &= component[csr.edge_u] == component[csr.edge_v]
-        if bool(equal.any()):
-            i = int(np.argmax(equal))
-            u, v = int(csr.edge_u[i]), int(csr.edge_v[i])
-            colors = self._to_scalar(stage, state)
-            raise ImproperColoringError(round_index, (u, v), colors[u])
+        # Python views materialize on first access; batch-aware pipelines
+        # chain ``int_colors_array`` into the next stage without them.
+        colors = (
+            _scalar_colors_dropped
+            if final_state is None
+            else functools.partial(to_scalar, stage, final_state)
+        )
+        return RunResult(
+            colors, None, rounds_used, metrics, history, int_colors_array=decoded
+        )

@@ -119,24 +119,56 @@ class FaultCampaign:
             engine.remove_edge(u, v)
             affected.extend((u, v))
         for _ in range(additions):
-            present = engine.graph.vertices()
-            if len(present) < 2:
+            if len(engine.graph.vertices()) < 2:
                 break
-            candidates = [
-                (u, v)
-                for u in present
-                for v in present
-                if u < v
-                and not engine.graph.has_edge(u, v)
-                and engine.graph.degree(u) < engine.graph.delta_bound
-                and engine.graph.degree(v) < engine.graph.delta_bound
-            ]
-            if not candidates:
+            candidates = _OpenPairs(engine.graph)
+            if not len(candidates):
                 break
             u, v = self.rng.choice(candidates)
             engine.add_edge(u, v)
             affected.extend((u, v))
         return affected
+
+
+class _OpenPairs:
+    """The legal new edges ``(u, v)``, ``u < v``, in lexicographic order.
+
+    A lazy sequence for ``rng.choice``: both endpoints present and below
+    ``delta_bound``, not yet adjacent.  ``len`` is O(n + m) and indexing
+    walks to the k-th pair in O(n + m), where listing every pair would be
+    O(n^2) per added edge.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        bound = graph.delta_bound
+        self.open = [v for v in graph.vertices() if graph.degree(v) < bound]
+        is_open = set(self.open)
+        # Pairs owned by the i-th open vertex u: every later open vertex
+        # except u's (open) neighbors above u.
+        self.counts = [
+            len(self.open) - 1 - i
+            - sum(1 for w in graph.neighbors(u) if w > u and w in is_open)
+            for i, u in enumerate(self.open)
+        ]
+        self.total = sum(self.counts)
+
+    def __len__(self):
+        return self.total
+
+    def __getitem__(self, k):
+        for i, count in enumerate(self.counts):
+            if k < count:
+                break
+            k -= count
+        u = self.open[i]
+        taken = set(self.graph.neighbors(u))
+        for v in self.open[i + 1:]:
+            if v not in taken:
+                if k == 0:
+                    return u, v
+                k -= 1
+        raise IndexError(k)
 
 
 class TargetedAttacks:

@@ -59,19 +59,9 @@ class BatchSelfStabEngine(SelfStabEngine):
     _epoch = None
     _pending_touched = None
 
-    def __init__(self, graph, algorithm, set_visibility=False, native=None):
+    def __init__(self, graph, algorithm, set_visibility=False):
         super().__init__(graph, algorithm, set_visibility=set_visibility)
         self._noncanon = {}
-        if native is None:
-            from repro.runtime.native import native_default
-
-            native = native_default()
-        # ``native=True`` routes covered rounds through the Numba kernels of
-        # :mod:`repro.runtime.native`; uncovered algorithms and rounds the
-        # kernel declines (non-steady states) keep the NumPy path, and both
-        # degrade to it silently when Numba is absent — bit-identical output
-        # along the whole numba -> batch -> reference order.
-        self.native = bool(native)
 
     # -- dict <-> column synchronization ----------------------------------------
 
@@ -250,22 +240,7 @@ class BatchSelfStabEngine(SelfStabEngine):
         ctx = BatchContext(
             np, csr, verts_arr, self.set_visibility, algorithm, raw_values
         )
-        new_state = None
-        if self.native:
-            from repro.runtime import native
-
-            kernel = native.selfstab_kernel_for(algorithm)
-            if kernel is not None:
-                stepped = kernel(algorithm, state, ctx)
-                if stepped is not None:
-                    new_state, changed = stepped
-                    tel = obs.active()
-                    if tel.enabled:
-                        tel.counter(
-                            "selfstab.native_rounds", algorithm=algorithm.name
-                        )
-        if new_state is None:
-            new_state, changed = algorithm.transition_batch(state, ctx)
+        new_state, changed = algorithm.transition_batch(state, ctx)
         self._state = new_state
         self._noncanon = {}
         self.round_count += 1

@@ -92,13 +92,6 @@ class TestDeprecationShims:
         assert not hasattr(repro.selfstab, "make_selfstab_engine")
         assert "make_selfstab_engine" not in repro.selfstab.__all__
 
-    def test_core_pipeline_reexports_recipes(self):
-        import repro.core.pipeline as old
-        import repro.recipes as new
-
-        for name in new.__all__:
-            assert getattr(old, name) is getattr(new, name)
-
 
 class TestResultProtocol:
     def test_every_result_class_satisfies_protocol(self):

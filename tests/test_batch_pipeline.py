@@ -18,7 +18,7 @@ standard reduction) runs vectorized.  These tests pin down:
 import pytest
 
 from repro import graphgen
-from repro.core.pipeline import delta_plus_one_coloring
+from repro.recipes import delta_plus_one_coloring
 from repro.core.reductions import StandardColorReduction
 from repro.linial.core import LinialColoring
 from repro.runtime import (

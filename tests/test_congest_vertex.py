@@ -14,7 +14,7 @@ from repro.core import (
     StandardColorReduction,
     ThreeDimensionalAG,
 )
-from repro.core.pipeline import delta_plus_one_coloring
+from repro.recipes import delta_plus_one_coloring
 from repro.graphgen import random_regular
 from repro.linial import LinialColoring
 from repro.runtime import ColoringEngine

@@ -20,7 +20,7 @@ from repro.core import (
     ArbAGColoring,
     ThreeDimensionalAG,
 )
-from repro.core.pipeline import delta_plus_one_coloring
+from repro.recipes import delta_plus_one_coloring
 from repro.core.reductions import StandardColorReduction
 from repro.errors import PaletteOverflowError
 from repro.linial.core import LinialColoring

@@ -11,7 +11,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.core import AdditiveGroupColoring
-from repro.core.pipeline import delta_plus_one_coloring
+from repro.recipes import delta_plus_one_coloring
 from repro.graphgen import circulant_graph, random_regular
 from repro.obs.core import NullTelemetry, Telemetry, _NULL_SPAN
 from repro.obs.exporters import (

@@ -156,6 +156,92 @@ class TestStageParity:
         assert oocore.int_colors == batch.int_colors
 
 
+class TestTelemetryRowParity:
+    """The one round loop produces the same rows over either plane.
+
+    Per-round ``changed`` / ``finalized`` / ``conflicts`` and the rest of
+    the ``engine.run`` record, plus the scalar colors, must match the
+    in-memory plane for every shard count, inline and pooled.  Conflicts
+    are the sensitive column: a cross-shard edge needs the neighbor's *new*
+    color, not the stale halo copy the round was stepped with.
+    """
+
+    @staticmethod
+    def _recorded(engine, stage, initial, **kwargs):
+        from repro import obs
+
+        with obs.capture() as tel:
+            result = engine.run(stage, initial, **kwargs)
+        runs = [
+            e for e in obs.comparable_view(tel.events)
+            if e.get("type") == "engine.run"
+        ]
+        assert len(runs) == 1
+        return result, runs[0]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("shards", [1, 3, 7])
+    @pytest.mark.parametrize("stage_index", [0, 1, 2])
+    def test_engine_run_rows_match_batch(self, stage_index, shards, workers):
+        from repro.oocore.engine import OocoreColoringEngine
+        from repro.runtime.fast_engine import BatchColoringEngine
+
+        make = _stage_classes()[stage_index]
+        graph = random_regular(60, 4, seed=5)
+        initial = list(range(graph.n))
+        batch, batch_run = self._recorded(
+            BatchColoringEngine(graph), make(), initial
+        )
+        oocore, oocore_run = self._recorded(
+            OocoreColoringEngine(_sharded(graph, shards=shards), workers=workers),
+            make(), initial,
+        )
+        assert oocore_run["rounds"] == batch_run["rounds"]
+        assert oocore_run == batch_run
+        assert list(oocore.colors) == list(batch.colors)
+
+    @pytest.mark.parametrize("shards", [1, 3, 7])
+    def test_conflict_rows_match_on_improper_input(self, shards):
+        from repro.core.reductions import StandardColorReduction
+        from repro.oocore.engine import OocoreColoringEngine
+        from repro.runtime.fast_engine import BatchColoringEngine
+
+        # Pairs of consecutive vertices share a color: the reduction keeps
+        # the conflicts it was given, so the column is non-zero every round.
+        graph = random_regular(60, 4, seed=5)
+        initial = [v // 2 for v in range(graph.n)]
+        _, batch_run = self._recorded(
+            BatchColoringEngine(graph), StandardColorReduction(), initial,
+            in_palette_size=graph.n,
+        )
+        _, oocore_run = self._recorded(
+            OocoreColoringEngine(_sharded(graph, shards=shards)),
+            StandardColorReduction(), initial, in_palette_size=graph.n,
+        )
+        assert any(row["conflicts"] for row in batch_run["rounds"])
+        assert oocore_run == batch_run
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("shards", [1, 3, 7])
+    def test_truncated_stage_palette_error_matches(self, shards, workers):
+        from repro.core.reductions import StandardColorReduction
+        from repro.errors import PaletteOverflowError
+        from repro.oocore.engine import OocoreColoringEngine
+        from repro.runtime.fast_engine import BatchColoringEngine
+
+        graph = random_regular(60, 4, seed=5)
+        initial = list(range(graph.n))
+        with pytest.raises(PaletteOverflowError) as batch_err:
+            BatchColoringEngine(graph).run(
+                StandardColorReduction(), initial, max_rounds=10
+            )
+        with pytest.raises(PaletteOverflowError) as oocore_err:
+            OocoreColoringEngine(
+                _sharded(graph, shards=shards), workers=workers
+            ).run(StandardColorReduction(), initial, max_rounds=10)
+        assert str(oocore_err.value) == str(batch_err.value)
+
+
 class TestEngineContract:
     def test_record_history_rejected(self):
         from repro.oocore.engine import OocoreColoringEngine
