@@ -15,8 +15,6 @@ import json
 import os
 import time
 
-import pytest
-
 from bench_util import report
 
 from repro.analysis import is_proper_coloring
@@ -24,7 +22,6 @@ from repro.core import AdditiveGroupColoring
 from repro.core.ag import ag_prime_for
 from repro.graphgen import circulant_graph
 from repro.runtime import BatchColoringEngine, ColoringEngine
-from repro.runtime.csr import numpy_available
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_engine.json")
@@ -132,10 +129,7 @@ def write_results(entries):
     return payload
 
 
-@pytest.mark.requires_numpy
 def test_engine_speed_grid():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
     entries = run_grid()
     write_results(entries)
     big = [e for e in entries if e["n"] >= 20000 and e["delta"] >= 64]
@@ -145,6 +139,4 @@ def test_engine_speed_grid():
 
 
 if __name__ == "__main__":
-    if not numpy_available():
-        raise SystemExit("NumPy unavailable; install with `pip install repro[fast]`")
     write_results(run_grid())

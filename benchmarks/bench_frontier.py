@@ -46,13 +46,10 @@ import os
 import sys
 import time
 
-import pytest
-
 from bench_util import report
 
 from repro.graphgen import random_regular
 from repro.parallel.jobs import resolve_algorithm
-from repro.runtime.csr import numpy_available
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_frontier.json")
@@ -148,8 +145,7 @@ def _graph(n, delta):
     key = (n, delta)
     if key not in _GRAPHS:
         graph = random_regular(n, delta, seed=n + delta)
-        if numpy_available():
-            graph.csr()
+        graph.csr()
         _GRAPHS[key] = graph
     return _GRAPHS[key]
 
@@ -247,10 +243,7 @@ def _largest_point(entries, label):
     return max(rows, key=lambda e: (e["n"], e["delta"])) if rows else None
 
 
-@pytest.mark.requires_numpy
 def test_frontier_grid():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
     entries = run_grid()
     write_results(entries)
     for label in NEW_MODULES:
@@ -272,21 +265,6 @@ def _smoke():
     for label, n, delta in GRID:
         grid.setdefault(label, (label, n, delta))
     points = sorted(grid.values())
-    if not numpy_available():
-        # No-NumPy job: the batch tier (the timing subject) is absent, but
-        # the whole registered surface still runs on the scalar tier.
-        for label, n, delta in points:
-            algorithm, params = ROWS[label]
-            result = resolve_algorithm(algorithm)(
-                _graph(n, delta), backend="reference", seed=7, **params
-            )
-            print(
-                "smoke %-16s n=%-6d Delta=%-3d rounds=%-6s colors=%-5s "
-                "(reference tier)"
-                % (label, n, delta, result.rounds, result.num_colors)
-            )
-        print("frontier smoke OK: %d algorithms, scalar tier" % len(points))
-        return
     entries = run_grid(points)
     for entry in entries:
         print(
@@ -306,7 +284,5 @@ def _smoke():
 if __name__ == "__main__":
     if "--smoke" in sys.argv:
         _smoke()
-    elif not numpy_available():
-        raise SystemExit("NumPy unavailable; install with `pip install repro[fast]`")
     else:
         write_results(run_grid())

@@ -36,12 +36,9 @@ import os
 import sys
 import time
 
-import pytest
-
 from bench_util import report
 
 from repro.graphgen import random_regular
-from repro.runtime.csr import numpy_available
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_oocore.json")
@@ -239,9 +236,6 @@ def write_results(entries):
 
 def run_smoke(telemetry_path=None):
     """Tiny parity pass for CI: four shards, tight budget, nothing written."""
-    if not numpy_available():
-        print("smoke: NumPy unavailable, oocore tier not exercised")
-        return
     from repro import obs
     from repro.oocore import ensure_sharded
 
@@ -277,7 +271,6 @@ def run_smoke(telemetry_path=None):
         print("smoke: telemetry written to %s" % telemetry_path)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="oocore tier needs NumPy")
 def test_oocore_grid():
     """Full-grid run: writes the baseline, asserts the acceptance points."""
     entries = run_grid()

@@ -174,8 +174,8 @@ def write_results(entries):
 def run_smoke():
     """Tiny parity pass for CI: two jobs, two workers, no files written.
 
-    Works with or without NumPy and multiprocessing — the runner degrades to
-    inline execution, and the bit-identity assertion is the point.
+    Works with or without multiprocessing — the runner degrades to inline
+    execution, and the bit-identity assertion is the point.
     """
     for n, delta in SMOKE_GRID:
         specs = _sweep(n, delta, jobs=2)

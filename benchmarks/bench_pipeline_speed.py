@@ -18,14 +18,11 @@ import os
 import sys
 import time
 
-import pytest
-
 from bench_util import report
 
 from repro.analysis import is_proper_coloring
 from repro.recipes import delta_plus_one_coloring
 from repro.graphgen import circulant_graph
-from repro.runtime.csr import numpy_available
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_pipeline.json")
@@ -123,30 +120,19 @@ def write_results(entries):
 
 
 def run_smoke():
-    """Tiny-n parity pass for CI: both backends, full pipeline, no files.
-
-    Without NumPy only the reference side runs (the batch backend is
-    unavailable by construction); the invocation still exercises the full
-    pipeline so the scalar path stays covered in the no-numpy CI job.
-    """
+    """Tiny-n parity pass for CI: both backends, full pipeline, no files."""
     for n, delta in SMOKE_GRID:
         graph = _grid_graph(n, delta)
         ref_result, _ = _time_pipeline(graph, "reference")
         assert is_proper_coloring(graph, ref_result.colors)
         assert ref_result.num_colors <= delta + 1
-        if not numpy_available():
-            print("smoke: reference backend OK (NumPy unavailable, batch skipped)")
-            continue
         bat_result, _ = _time_pipeline(graph, "batch")
         assert bat_result.colors == ref_result.colors
         assert bat_result.to_dict() == ref_result.to_dict()
         print("smoke: reference and batch backends identical at n=%d" % n)
 
 
-@pytest.mark.requires_numpy
 def test_pipeline_speed_grid():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
     entries = run_grid()
     write_results(entries)
     big = [e for e in entries if e["n"] >= 20000 and e["delta"] >= 64]
@@ -159,6 +145,4 @@ if __name__ == "__main__":
     if "--smoke" in sys.argv[1:]:
         run_smoke()
         raise SystemExit(0)
-    if not numpy_available():
-        raise SystemExit("NumPy unavailable; install with `pip install repro[fast]`")
     write_results(run_grid())

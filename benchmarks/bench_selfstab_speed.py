@@ -19,11 +19,8 @@ import os
 import sys
 import time
 
-import pytest
-
 from bench_util import report
 
-from repro.runtime.csr import numpy_available
 from repro.runtime.graph import DynamicGraph
 from repro.runtime.backends import resolve_backend
 from repro.selfstab import FaultCampaign, SelfStabColoring
@@ -139,19 +136,10 @@ def write_results(entries):
 
 
 def run_smoke():
-    """Tiny parity pass for CI: both backends, burst included, no files.
-
-    Without NumPy only the reference side runs (the batch backend is
-    unavailable by construction); the invocation still exercises the full
-    fault-and-recover loop so the scalar path stays covered in the no-numpy
-    CI job.
-    """
+    """Tiny parity pass for CI: both backends, burst included, no files."""
     for n, delta in SMOKE_GRID:
         graph = _circulant_dynamic(n, delta)
         ref = _measure(graph, n, delta, "reference")
-        if not numpy_available():
-            print("smoke: reference backend OK (NumPy unavailable, batch skipped)")
-            continue
         bat = _measure(graph, n, delta, "batch")
         assert bat["cold_rounds"] == ref["cold_rounds"]
         assert bat["burst_rounds"] == ref["burst_rounds"]
@@ -159,10 +147,7 @@ def run_smoke():
         print("smoke: reference and batch engines identical at n=%d" % n)
 
 
-@pytest.mark.requires_numpy
 def test_selfstab_speed_grid():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
     entries = run_grid()
     write_results(entries)
     big = [e for e in entries if e["n"] >= 20000 and e["delta"] >= 64]
@@ -175,6 +160,4 @@ if __name__ == "__main__":
     if "--smoke" in sys.argv[1:]:
         run_smoke()
         raise SystemExit(0)
-    if not numpy_available():
-        raise SystemExit("NumPy unavailable; install with `pip install repro[fast]`")
     write_results(run_grid())

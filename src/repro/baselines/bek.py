@@ -22,11 +22,12 @@ stage recurs per level (the original shares one Linial run across levels);
 the shape — linear in Delta — is preserved and benchmarked.
 """
 
+import numpy as np
+
 from repro.analysis.invariants import coloring_defect, is_proper_coloring
 from repro.core.reductions import StandardColorReduction
 from repro.defective.vertex import DefectiveLinialColoring
 from repro.linial.core import LinialColoring
-from repro.runtime.csr import numpy_or_none
 
 __all__ = ["BEKResult", "bek_delta_plus_one"]
 
@@ -101,14 +102,14 @@ def _recursive_color(graph, depth, parent_delta=None, backend="auto"):
     rounds = dres.rounds_used
 
     # Stage 2: recurse on the classes in parallel.
-    np = None if backend == "reference" else numpy_or_none()
+    batch = backend != "reference"
     sub_results = {}
     deepest = depth
     max_sub_rounds = 0
     for cid in class_ids:
         members = [v for v in graph.vertices() if class_of[v] == cid]
-        if np is not None:
-            subgraph, index = _induced_subgraph(np, graph, members)
+        if batch:
+            subgraph, index = _induced_subgraph(graph, members)
         else:
             subgraph, index = graph.subgraph(members)
         sub_colors, sub_rounds, sub_depth = _recursive_color(
@@ -121,8 +122,8 @@ def _recursive_color(graph, depth, parent_delta=None, backend="auto"):
 
     # Stage 3: sequential merge — class by class, level by level, greedy
     # picks from [0, Delta] avoiding committed neighbors.
-    if np is not None:
-        return _merge_batch(np, graph, class_ids, sub_results, rounds, deepest)
+    if batch:
+        return _merge_batch(graph, class_ids, sub_results, rounds, deepest)
     final = [None] * graph.n
     for cid in class_ids:
         members, index, sub_colors = sub_results[cid]
@@ -143,7 +144,7 @@ def _recursive_color(graph, depth, parent_delta=None, backend="auto"):
     return final, rounds, deepest
 
 
-def _induced_subgraph(np, graph, members):
+def _induced_subgraph(graph, members):
     """``graph.subgraph(members)`` with the edge filter done on CSR arrays.
 
     Produces the identical :class:`StaticGraph` (the constructor sorts and
@@ -166,7 +167,7 @@ def _induced_subgraph(np, graph, members):
     return StaticGraph(len(ordered), edges, ids=ids), index
 
 
-def _merge_batch(np, graph, class_ids, sub_results, rounds, deepest):
+def _merge_batch(graph, class_ids, sub_results, rounds, deepest):
     """Vectorized stage 3: identical sweeps, one occupancy matrix per round.
 
     Vertices acting in one (class, level) round are pairwise non-adjacent —

@@ -15,7 +15,7 @@ the sequential sweep, in ``depth(pi)`` array rounds instead of ``n`` Python
 steps.
 """
 
-from repro.runtime.csr import numpy_or_none
+import numpy as np
 
 __all__ = ["greedy_coloring"]
 
@@ -26,9 +26,8 @@ def greedy_coloring(graph, order=None, backend="auto"):
     Returns a list of colors in ``range(Delta + 1)`` (entries stay ``None``
     for vertices a partial ``order`` never visits).  All backends produce
     bit-identical output: ``reference`` is the plain Python sweep, ``batch``
-    the wave-parallel NumPy path, ``oocore`` the sharded sweep over a
-    :class:`~repro.oocore.store.ShardedCSRGraph`, ``auto`` the best
-    available.
+    (and ``auto``) the wave-parallel NumPy path, ``oocore`` the sharded
+    sweep over a :class:`~repro.oocore.store.ShardedCSRGraph`.
     """
     if backend == "oocore" or type(graph).__name__ == "ShardedCSRGraph":
         # Out-of-core graphs never materialize a full CSR; the sharded
@@ -43,12 +42,7 @@ def greedy_coloring(graph, order=None, backend="auto"):
             )
         return oocore_greedy(graph, order=order)
     n = graph.n
-    np = None if backend == "reference" else numpy_or_none()
-    if np is None:
-        if backend == "batch":
-            raise RuntimeError(
-                "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-            )
+    if backend == "reference":
         return _greedy_reference(graph, order)
     order_list = list(range(n)) if order is None else list(order)
     csr = graph.csr()
@@ -56,7 +50,7 @@ def greedy_coloring(graph, order=None, backend="auto"):
         # Partial or repeating orders revisit vertices; the wave argument
         # needs a permutation.  These only appear in tiny oracle checks.
         return _greedy_reference(graph, order_list)
-    return _greedy_waves(np, csr, order_list, graph.max_degree + 1)
+    return _greedy_waves(csr, order_list, graph.max_degree + 1)
 
 
 def _greedy_reference(graph, order):
@@ -72,20 +66,20 @@ def _greedy_reference(graph, order):
     return colors
 
 
-def _greedy_waves(np, csr, order_list, palette):
+def _greedy_waves(csr, order_list, palette):
     n = csr.n
     pos = np.empty(n, dtype=np.int64)
     pos[np.asarray(order_list, dtype=np.int64)] = np.arange(n, dtype=np.int64)
     earlier = pos[csr.indices] < pos[csr.rows]  # slot: neighbor precedes owner
     colors = np.full(n, -1, dtype=np.int32)
     first_fit_waves(
-        np, csr.rows, csr.indices.astype(np.int32), earlier, ~earlier,
+        csr.rows, csr.indices.astype(np.int32), earlier, ~earlier,
         csr.count_per_vertex(earlier), colors, palette,
     )
     return colors.tolist()
 
 
-def first_fit_waves(np, rows, indices, earlier, later, indeg, colors, palette):
+def first_fit_waves(rows, indices, earlier, later, indeg, colors, palette):
     """Wave-parallel first-fit over the rows ``[0, len(indeg))`` of a CSR.
 
     ``rows``/``indices`` give each adjacency slot's owner and neighbor.

@@ -18,6 +18,8 @@ block) but still locally-iterative, and it runs in SET-LOCAL since only the
 set of neighbor colors matters.
 """
 
+import numpy as np
+
 from repro.runtime.algorithm import LocallyIterativeColoring
 
 __all__ = ["KuhnWattenhoferReduction"]
@@ -102,9 +104,6 @@ class KuhnWattenhoferReduction(LocallyIterativeColoring):
 
     def step_batch(self, round_index, state, csr, visibility):
         """Vectorized ``step``: per-block greedy repick of the acting class."""
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
         (colors,) = state
         n_colors = self.block
         iteration = round_index // n_colors
@@ -150,9 +149,6 @@ class KuhnWattenhoferReduction(LocallyIterativeColoring):
 
     def batch_is_final(self, state):
         """Vectorized ``is_final`` (never final, like the scalar path)."""
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
         return np.zeros(state[0].shape[0], dtype=bool)
 
     def batch_decode_final(self, state):

@@ -24,31 +24,11 @@ break the same symmetry instantly through their ROM-resident IDs.
 
 import random
 
-from repro.runtime.csr import numpy_or_none
+import numpy as np
+
 from repro.selfstab.engine import SelfStabAlgorithm
 
 __all__ = ["luby_mis", "random_trial_coloring", "RandomTrialSelfStabColoring"]
-
-
-def _batch_np(backend):
-    """NumPy when the fast path applies, None for the reference path.
-
-    Randomized baselines expose the repo-wide ``backend`` knob with the usual
-    semantics: ``auto`` vectorizes when NumPy is importable, ``batch`` demands
-    it, ``reference`` forces the pure-Python loop.  Both paths consume the
-    seeded PRNG in the identical call sequence, so results are bit-for-bit
-    equal across backends.
-    """
-    if backend == "reference":
-        return None
-    np = numpy_or_none()
-    if np is None:
-        if backend == "batch":
-            raise RuntimeError(
-                "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-            )
-        return None
-    return np
 
 
 def luby_mis(graph, seed, max_rounds=None, backend="auto"):
@@ -60,9 +40,8 @@ def luby_mis(graph, seed, max_rounds=None, backend="auto"):
     """
     rng = random.Random(seed)
     cap = max_rounds or (8 * max(1, graph.n).bit_length() + 40)
-    np = _batch_np(backend)
-    if np is not None and hasattr(graph, "csr"):
-        return _luby_mis_batch(np, graph, rng, cap)
+    if backend != "reference" and hasattr(graph, "csr"):
+        return _luby_mis_batch(graph, rng, cap)
     undecided = set(graph.vertices())
     members = set()
     rounds = 0
@@ -87,7 +66,7 @@ def luby_mis(graph, seed, max_rounds=None, backend="auto"):
     return members, rounds
 
 
-def _luby_mis_batch(np, graph, rng, cap):
+def _luby_mis_batch(graph, rng, cap):
     """Array rounds with the reference path's exact PRNG consumption."""
     csr = graph.csr()
     n = csr.n
@@ -121,9 +100,8 @@ def random_trial_coloring(graph, seed, palette=None, max_rounds=None, backend="a
     if palette is None:
         palette = graph.max_degree + 1
     cap = max_rounds or (8 * max(1, graph.n).bit_length() + 40)
-    np = _batch_np(backend)
-    if np is not None and hasattr(graph, "csr"):
-        return _random_trial_batch(np, graph, rng, palette, cap)
+    if backend != "reference" and hasattr(graph, "csr"):
+        return _random_trial_batch(graph, rng, palette, cap)
     colors = [None] * graph.n
     rounds = 0
     while any(c is None for c in colors) and rounds < cap:
@@ -147,7 +125,7 @@ def random_trial_coloring(graph, seed, palette=None, max_rounds=None, backend="a
     return colors, rounds
 
 
-def _uniform_randbelow(np, rng, count, bound):
+def _uniform_randbelow(rng, count, bound):
     """``count`` draws of ``rng._randbelow(bound)`` as one array op.
 
     CPython's ``_randbelow`` reads ``bound.bit_length()``-wide slices off the
@@ -183,7 +161,7 @@ def _uniform_randbelow(np, rng, count, bound):
     return values[accepted[:count]]
 
 
-def _random_trial_batch(np, graph, rng, palette, cap):
+def _random_trial_batch(graph, rng, palette, cap):
     """Array rounds; ``rng.randrange(k)`` consumes exactly like ``rng.choice``
     of a ``k``-element free list (both are one ``_randbelow(k)`` call), so the
     draw sequence — and therefore every proposal — matches the reference."""
@@ -212,11 +190,11 @@ def _random_trial_batch(np, graph, rng, palette, cap):
             occupied = None
             free_count = None
         if occupied is None:
-            proposal = _uniform_randbelow(np, rng, count, palette)
+            proposal = _uniform_randbelow(rng, count, palette)
         else:
             low = int(free_count.min())
             if low == int(free_count.max()) and low > 0:
-                picks = _uniform_randbelow(np, rng, count, low)
+                picks = _uniform_randbelow(rng, count, low)
             else:
                 randbelow = rng._randbelow
                 pick_list = []

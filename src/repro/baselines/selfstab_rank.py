@@ -9,6 +9,8 @@ self-stabilization benchmarks race it against the paper's
 O(Delta + log* n) algorithms.
 """
 
+import numpy as np
+
 from repro.selfstab.engine import SelfStabAlgorithm
 from repro.selfstab.kernels import ColorBatchOps
 
@@ -74,8 +76,8 @@ class RankGreedySelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
     # path keeps the bool object in RAM and charges it 1 payload bit, which a
     # plain int column cannot reproduce — those rounds run scalar.
 
-    def batch_encode(self, raws, np):
-        encoded = ColorBatchOps.batch_encode(self, raws, np)
+    def batch_encode(self, raws):
+        encoded = ColorBatchOps.batch_encode(self, raws)
         if encoded is None:
             return None
         state, noncanon = encoded
@@ -88,16 +90,16 @@ class RankGreedySelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
             return None
         return ColorBatchOps.batch_encode_one(self, raw)
 
-    def batch_payload_max(self, state, include, np, ids=None):
+    def batch_payload_max(self, state, include, ids=None):
         """Max bits of the (id, color) pair over included canonical vertices."""
         values = state[0][include]
         if values.size == 0:
             return 0
-        pair = _batch_bit_length(values, np) + _batch_bit_length(ids[include], np) + 2
+        pair = _batch_bit_length(values) + _batch_bit_length(ids[include]) + 2
         return int(pair.max())
 
     def transition_batch(self, state, ctx):
-        np, csr = ctx.np, ctx.csr
+        csr = ctx.csr
         (colors,) = state
         ids = ctx.vertices
         palette = self.palette
@@ -126,7 +128,7 @@ class RankGreedySelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
             new[repick] = np.where(full, color_eff[repick], picked)
         return (new,), new != colors
 
-    def batch_is_legal(self, state, csr, np):
+    def batch_is_legal(self, state, csr):
         """Vector twin of :meth:`is_legal` over the packed color column."""
         (colors,) = state
         if colors.size and not bool(
@@ -138,7 +140,7 @@ class RankGreedySelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
         return True
 
 
-def _batch_bit_length(values, np):
+def _batch_bit_length(values):
     """Vectorized ``abs(x).bit_length()`` for int64 arrays (exact)."""
     arr = np.abs(values)
     out = np.zeros(arr.shape, dtype=np.int64)

@@ -27,6 +27,8 @@ Bit-Round bound as an execution.
 
 import math
 
+import numpy as np
+
 from repro.bitround.channel import BitChannelNetwork, decode_int, encode_int
 from repro.core.hybrid import ExactDeltaPlusOneHybrid
 from repro.core.ag import ag_prime_for
@@ -34,7 +36,6 @@ from repro.defective.kuhn_edge import kuhn_defective_edge_coloring
 from repro.edge.line_graph import build_line_graph
 from repro.linial.cole_vishkin import cole_vishkin_three_coloring
 from repro.runtime.algorithm import NetworkInfo
-from repro.runtime.csr import numpy_or_none
 from repro.runtime.results import Result
 
 __all__ = ["BitRoundEdgeColoringRun", "run_edge_coloring_bit_protocol"]
@@ -140,17 +141,12 @@ def run_edge_coloring_bit_protocol(graph, exact=True, neighbor_ids_known=False,
 
     Returns a :class:`BitRoundEdgeColoringRun`.
     """
-    np = None if backend == "reference" else numpy_or_none()
-    if np is not None and hasattr(graph, "csr"):
-        return _batch(graph, np, exact, neighbor_ids_known)
-    if np is None and backend == "batch":
-        raise RuntimeError(
-            "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-        )
+    if backend != "reference" and hasattr(graph, "csr"):
+        return _batch(graph, exact, neighbor_ids_known)
     return _reference(graph, exact, neighbor_ids_known)
 
 
-def _batch(graph, np, exact, neighbor_ids_known):
+def _batch(graph, exact, neighbor_ids_known):
     """Array-kernel tier over the line graph; ledgers via drain closed forms."""
     from repro.defective.kuhn_edge import kuhn_defective_edge_arrays
     from repro.runtime.engine import Visibility

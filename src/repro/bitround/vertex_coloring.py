@@ -22,12 +22,13 @@ round; the final coloring is bit-identical to
 
 import math
 
+import numpy as np
+
 from repro.bitround.channel import BitChannelNetwork, decode_int, encode_int
 from repro.core.ag import AdditiveGroupColoring
 from repro.core.reductions import StandardColorReduction
 from repro.linial.core import LinialColoring, linial_next_color, linial_round_batch
 from repro.runtime.algorithm import NetworkInfo
-from repro.runtime.csr import numpy_or_none
 from repro.runtime.results import Result
 
 __all__ = ["VertexBitProtocolRun", "run_vertex_coloring_bit_protocol"]
@@ -92,17 +93,12 @@ def run_vertex_coloring_bit_protocol(graph, backend="auto"):
     queue, i.e. the widest message any direction carries that round).  Both
     tiers return bit-identical colors, round counts, and ledgers.
     """
-    np = None if backend == "reference" else numpy_or_none()
-    if np is not None and hasattr(graph, "csr"):
-        return _batch(graph, np)
-    if np is None and backend == "batch":
-        raise RuntimeError(
-            "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-        )
+    if backend != "reference" and hasattr(graph, "csr"):
+        return _batch(graph)
     return _reference(graph)
 
 
-def _batch(graph, np):
+def _batch(graph):
     """Array-kernel tier: same rules, ledgers from the drain closed form."""
     from repro.runtime.engine import Visibility
 

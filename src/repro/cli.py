@@ -605,7 +605,7 @@ def build_parser():
         choices=backend_names("engine"),
         default="auto",
         help="engine backend: auto picks the vectorized NumPy engine when "
-        "available (install with `pip install repro[fast]`)",
+        "every stage has batch kernels, the reference engine otherwise",
     )
     color.add_argument(
         "--workers",
@@ -747,7 +747,8 @@ def build_parser():
         choices=backend_names("selfstab"),
         default="auto",
         help="self-stabilization engine backend: auto picks the vectorized "
-        "NumPy engine when available",
+        "NumPy engine when the algorithm has batch transitions, the "
+        "reference engine otherwise",
     )
     selfstab.add_argument(
         "--telemetry",

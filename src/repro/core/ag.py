@@ -27,6 +27,8 @@ coloring of Section 5 exploits; :meth:`message_bits` reflects that.
 
 import math
 
+import numpy as np
+
 from repro.mathutil.primes import next_prime_at_least
 from repro.runtime.algorithm import LocallyIterativeColoring
 
@@ -164,8 +166,6 @@ class AdditiveGroupColoring(LocallyIterativeColoring):
 
     def step_batch(self, round_index, state, csr, visibility):
         """Vectorized ``step``: advance every vertex one round on the CSR view."""
-        import numpy as np
-
         a, b = state
         conflict = csr.any_per_vertex(csr.gather(b) == csr.owner_values(b))
         new_a = np.where(conflict, a, 0)

@@ -36,6 +36,8 @@ with the same ``p >= 3 * Delta + 1`` assumption).
 
 import math
 
+import numpy as np
+
 from repro.mathutil.primes import next_prime_at_least
 from repro.runtime.algorithm import LocallyIterativeColoring
 
@@ -150,8 +152,6 @@ class ThreeDimensionalAG(LocallyIterativeColoring):
 
     def step_batch(self, round_index, state, csr, visibility):
         """Vectorized ``step``: advance every vertex one round on the CSR view."""
-        import numpy as np
-
         c, b, a = state
         p = self.p
         nc, nb, na = csr.gather(c), csr.gather(b), csr.gather(a)

@@ -20,6 +20,8 @@ round in every window of ``N`` is conflict-free.  Hence an exact
 (as pairs) throughout — no standard color reduction needed.
 """
 
+import numpy as np
+
 from repro.runtime.algorithm import LocallyIterativeColoring
 
 __all__ = ["AdditiveGroupZN"]
@@ -103,8 +105,6 @@ class AdditiveGroupZN(LocallyIterativeColoring):
 
     def step_batch(self, round_index, state, csr, visibility):
         """Vectorized ``step``: advance every vertex one round on the CSR view."""
-        import numpy as np
-
         b, a = state
         conflict = csr.any_per_vertex(csr.gather(a) == csr.owner_values(a))
         working = b != 0

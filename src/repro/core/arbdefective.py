@@ -25,6 +25,8 @@ an extra ``O(log Delta)`` bits per message, CONGEST-harmless), and the
 finalization round (``None`` while working).
 """
 
+import numpy as np
+
 from repro.linial.plan import integer_root_ceiling
 from repro.mathutil.primes import next_prime_at_least
 from repro.runtime.algorithm import LocallyIterativeColoring
@@ -123,8 +125,6 @@ class ArbAGColoring(LocallyIterativeColoring):
 
     def batch_encode_initial(self, initial):
         """Vectorized ``encode_initial``: int64 input colors to the state arrays."""
-        import numpy as np
-
         self._require_configured()
         q = self.q
         bad = (initial < 0) | (initial >= q * q)
@@ -142,8 +142,6 @@ class ArbAGColoring(LocallyIterativeColoring):
 
     def step_batch(self, round_index, state, csr, visibility):
         """Vectorized ``step``: advance every vertex one round on the CSR view."""
-        import numpy as np
-
         from repro.runtime.engine import Visibility
 
         a, b, orig, fr = state

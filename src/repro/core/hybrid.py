@@ -29,6 +29,8 @@ low working, ``("H", b, a)`` high working with rotation step ``b >= 1``.
 
 import math
 
+import numpy as np
+
 from repro.runtime.algorithm import LocallyIterativeColoring
 
 __all__ = ["ExactDeltaPlusOneHybrid", "largest_prime_at_most"]
@@ -165,9 +167,6 @@ class ExactDeltaPlusOneHybrid(LocallyIterativeColoring):
 
     def batch_encode_initial(self, initial):
         """Vectorized ``encode_initial`` (same validation as the scalar path)."""
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
         n, p = self.n_colors, self.p
         if bool((initial < 0).any()):
             raise ValueError("negative color")
@@ -180,9 +179,6 @@ class ExactDeltaPlusOneHybrid(LocallyIterativeColoring):
 
     def step_batch(self, round_index, state, csr, visibility):
         """Vectorized ``step``: one uniform hybrid round for all vertices."""
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
         tag, b, a = state
         n, p = self.n_colors, self.p
         nbr_tag = csr.gather(tag)
@@ -227,9 +223,6 @@ class ExactDeltaPlusOneHybrid(LocallyIterativeColoring):
 
     def batch_decode_final(self, state):
         """Vectorized ``decode_final`` with the scalar path's exact error."""
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
         not_final = ~self.batch_is_final(state)
         if bool(not_final.any()):
             v = int(np.argmax(not_final))

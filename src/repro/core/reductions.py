@@ -13,6 +13,8 @@ Corollary 3.6 runs this after AG to go from ``q = O(Delta)`` colors to
 needs the *set* of neighbor colors, so it runs in SET-LOCAL too.
 """
 
+import numpy as np
+
 from repro.runtime.algorithm import LocallyIterativeColoring
 
 __all__ = ["StandardColorReduction"]
@@ -85,9 +87,6 @@ class StandardColorReduction(LocallyIterativeColoring):
 
     def step_batch(self, round_index, state, csr, visibility):
         """Vectorized ``step``: recolor the acting class off an occupancy matrix."""
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
         (colors,) = state
         acting_color = self.start_palette - 1 - round_index
         if acting_color < self.target:

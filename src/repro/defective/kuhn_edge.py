@@ -14,7 +14,7 @@ class edges).  Everything is decided in one communication round with
 accounting.
 """
 
-from repro.runtime.csr import numpy_or_none
+import numpy as np
 
 __all__ = ["kuhn_defective_edge_coloring", "kuhn_defective_edge_arrays"]
 
@@ -29,14 +29,7 @@ def kuhn_defective_edge_coloring(graph, backend="auto"):
     computes the same counters with two sorts over the edge arrays and is
     bit-identical to the reference sweep.
     """
-    np = None if backend == "reference" else numpy_or_none()
-    if np is None:
-        if backend == "batch":
-            raise RuntimeError(
-                "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-            )
-        return _reference(graph)
-    if not hasattr(graph, "csr"):
+    if backend == "reference" or not hasattr(graph, "csr"):
         return _reference(graph)
     i, j = kuhn_defective_edge_arrays(graph)
     return dict(zip(graph.edges, zip(i.tolist(), j.tolist())))
@@ -46,9 +39,8 @@ def kuhn_defective_edge_arrays(graph):
     """The ``(i, j)`` pairs as two int64 arrays aligned with ``graph.edges``.
 
     The array form of :func:`kuhn_defective_edge_coloring`, used by the batch
-    edge-coloring paths to skip the dict materialization.  Requires NumPy.
+    edge-coloring paths to skip the dict materialization.
     """
-    np = numpy_or_none()
     csr = graph.csr()
     m = csr.edge_u.shape[0]
     if m == 0:
@@ -62,11 +54,11 @@ def kuhn_defective_edge_arrays(graph):
     # equal-tail runs are contiguous and ``i`` is the rank within the run.
     order = np.lexsort((ids[head], ids[tail]))
     slots = np.arange(m, dtype=np.int64)
-    i = slots - _run_starts(np, tail[order], slots)
+    i = slots - _run_starts(tail[order], slots)
     # ``j`` counts each head's incoming edges in the same processing order; a
     # stable sort by head keeps that order inside every head's run.
     by_head = np.argsort(head[order], kind="stable")
-    rank_in_head = slots - _run_starts(np, head[order][by_head], slots)
+    rank_in_head = slots - _run_starts(head[order][by_head], slots)
     j = np.empty(m, dtype=np.int64)
     j[by_head] = rank_in_head
     # Undo the processing permutation so slot k describes graph.edges[k].
@@ -77,7 +69,7 @@ def kuhn_defective_edge_arrays(graph):
     return i_aligned, j_aligned
 
 
-def _run_starts(np, values, slots):
+def _run_starts(values, slots):
     """Per-slot start index of the contiguous run of equal ``values``."""
     new_run = np.empty(values.shape[0], dtype=bool)
     new_run[0] = True

@@ -16,6 +16,8 @@ the accumulated defect is the sum of the per-step pigeonhole bounds, exposed
 as :attr:`DefectiveLinialColoring.defect_bound` and asserted in tests.
 """
 
+import numpy as np
+
 from repro.linial.plan import integer_root_ceiling, linial_plan
 from repro.mathutil.gf import (
     batch_eval_points,
@@ -186,9 +188,6 @@ class DefectiveLinialColoring(LocallyIterativeColoring):
         return (self._tolerant_round_batch(round_index, colors, csr, visibility, q),)
 
     def _tolerant_round_batch(self, round_index, colors, csr, visibility, q):
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
         degree = _TOLERANT_DEGREE
         limit = q ** (degree + 1)
         out_of_field = (colors < 0) | (colors >= limit)
@@ -233,9 +232,6 @@ class DefectiveLinialColoring(LocallyIterativeColoring):
 
     def batch_is_final(self, state):
         """Vectorized ``is_final`` (never final, like the scalar path)."""
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
         return np.zeros(state[0].shape[0], dtype=bool)
 
     def batch_decode_final(self, state):

@@ -8,7 +8,8 @@ run our vertex stages on ``L(G)`` while accounting for bits as the real
 two-endpoint protocol would.
 """
 
-from repro.runtime.csr import numpy_or_none
+import numpy as np
+
 from repro.runtime.graph import StaticGraph
 
 __all__ = ["build_line_graph"]
@@ -28,14 +29,9 @@ def build_line_graph(graph, backend="auto"):
     """
     edges = graph.edges
     edge_index = {edge: i for i, edge in enumerate(edges)}
-    np = None if backend == "reference" else numpy_or_none()
-    if np is not None and hasattr(graph, "csr") and edges:
-        line_edges = _line_edges_batch(np, graph.csr())
+    if backend != "reference" and hasattr(graph, "csr") and edges:
+        line_edges = _line_edges_batch(graph.csr())
     else:
-        if np is None and backend == "batch":
-            raise RuntimeError(
-                "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-            )
         incident = [[] for _ in range(graph.n)]
         for idx, (u, v) in enumerate(edges):
             incident[u].append(idx)
@@ -51,7 +47,7 @@ def build_line_graph(graph, backend="auto"):
     return line_graph, edge_index
 
 
-def _line_edges_batch(np, csr):
+def _line_edges_batch(csr):
     """All unordered pairs of edges sharing an endpoint, as an (L, 2) array."""
     m = csr.edge_u.shape[0]
     vert = np.concatenate([csr.edge_u, csr.edge_v])

@@ -12,7 +12,8 @@ chromatic structure makes test assertions sharp.
 import math
 import random
 
-from repro.runtime.csr import numpy_or_none
+import numpy as np
+
 from repro.runtime.graph import StaticGraph
 
 __all__ = [
@@ -119,14 +120,14 @@ def random_tree(n, seed):
     return StaticGraph(n, edges)
 
 
-# The NumPy fast paths below continue the seed's exact MT19937 stream:
-# CPython's random.Random and numpy's RandomState share the generator and
-# the 53-bit double recipe, so transplanting the 624-word state produces
-# bit-identical draws — and therefore bit-identical graphs — with and
-# without NumPy (REPRO_DISABLE_NUMPY flips between them in CI).
+# The NumPy draws below continue the seed's exact MT19937 stream: CPython's
+# random.Random and numpy's RandomState share the generator and the 53-bit
+# double recipe, so transplanting the 624-word state draws the same numbers
+# the scalar loop ``rng.random()`` would — and later scalar draws on ``rng``
+# (random_regular's repair) pick up where the array draws stopped.
 
 
-def _np_rng(rng, np):
+def _np_rng(rng):
     """A RandomState continuing ``rng``'s MT19937 stream exactly."""
     internal = rng.getstate()[1]
     state = np.random.RandomState()
@@ -149,13 +150,7 @@ _GNP_BLOCK = 1 << 22
 def gnp_graph(n, p, seed):
     """Erdos–Renyi G(n, p)."""
     rng = random.Random(seed)
-    np = numpy_or_none()
-    if np is None:
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-        ]
-        return StaticGraph(n, edges)
-    state = _np_rng(rng, np)
+    state = _np_rng(rng)
     edges = []
     start_row = 0
     while start_row < n - 1:
@@ -189,8 +184,7 @@ def random_regular(n, d, seed):
     stubs with one uniform key per stub, pairs them up, then repairs
     self-loops and duplicate edges with random degree-preserving switches
     (each commit strictly shrinks the defect set).  The key draws and the
-    stable sort are vectorized under NumPy; the repair phase is shared, so
-    the graph is identical in both modes.
+    stable sort are vectorized; the repair phase draws from ``rng``.
     """
     if n * d % 2:
         raise ValueError("n * d must be even for a d-regular graph")
@@ -202,16 +196,10 @@ def random_regular(n, d, seed):
         return complete_graph(n)
     rng = random.Random(seed)
     stub_count = n * d
-    np = numpy_or_none()
-    if np is None:
-        keys = [rng.random() for _ in range(stub_count)]
-        order = sorted(range(stub_count), key=keys.__getitem__)
-        owners = [stub // d for stub in order]
-    else:
-        state = _np_rng(rng, np)
-        keys = state.random_sample(stub_count)
-        _np_rng_sync_back(rng, state)
-        owners = (np.argsort(keys, kind="stable") // d).tolist()
+    state = _np_rng(rng)
+    keys = state.random_sample(stub_count)
+    _np_rng_sync_back(rng, state)
+    owners = (np.argsort(keys, kind="stable") // d).tolist()
     npairs = stub_count // 2
     pairs = [(owners[2 * t], owners[2 * t + 1]) for t in range(npairs)]
 

@@ -10,6 +10,8 @@ The single-iteration primitive :func:`linial_next_color` is shared by:
   neighbor's polynomial and every forbidden pair).
 """
 
+import numpy as np
+
 from repro.linial.plan import linial_plan
 from repro.mathutil.gf import (
     batch_eval_point,
@@ -37,9 +39,6 @@ def linial_round_batch(stage, round_index, colors, csr, visibility, q, degree):
     scalar error (out-of-field input, no conflict-free point).  Returns the
     new int64 color array.
     """
-    from repro.runtime.csr import numpy_or_none
-
-    np = numpy_or_none()
     limit = q ** (degree + 1)
     out_of_field = colors < 0
     if limit < (1 << 62):
@@ -183,9 +182,6 @@ class LinialColoring(LocallyIterativeColoring):
 
     def batch_is_final(self, state):
         """Vectorized ``is_final`` (never final, like the scalar path)."""
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
         return np.zeros(state[0].shape[0], dtype=bool)
 
     def batch_decode_final(self, state):

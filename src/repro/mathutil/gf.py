@@ -11,6 +11,8 @@ encoding injective for ``c < q^(d+1)`` and computable with O(1) words of
 memory (as the paper notes at the end of Section 3).
 """
 
+import numpy as np
+
 __all__ = [
     "int_to_poly_coeffs",
     "eval_poly_mod",
@@ -66,11 +68,8 @@ def batch_poly_coeffs(values, degree, q):
     Row ``v`` of the result is ``int_to_poly_coeffs(values[v], degree, q)``:
     shape ``(len(values), degree + 1)``, low-order digits first.  Callers
     must pre-validate ``0 <= values < q**(degree + 1)``; this is the
-    vectorized encoder behind the batch Linial kernel, so it assumes NumPy
-    is importable (the batch path never runs without it).
+    vectorized encoder behind the batch Linial kernel.
     """
-    import numpy as np
-
     values = np.asarray(values, dtype=np.int64)
     coeffs = np.empty((values.shape[0], degree + 1), dtype=np.int64)
     remaining = values.copy()
@@ -90,8 +89,6 @@ def batch_eval_point(coeffs, x, q):
     transient.  Reducing mod ``q`` after every Horner step keeps every
     intermediate below ``q**2 + q`` — exact in int64 for any plannable field.
     """
-    import numpy as np
-
     coeffs = np.asarray(coeffs, dtype=np.int64)
     if coeffs.shape[1] == 0:
         return np.zeros(coeffs.shape[0], dtype=np.int64)
@@ -112,8 +109,6 @@ def batch_eval_points(coeffs, points, q):
     are bounded by ``(degree + 1) * q**2``, well inside int64 for every field
     the Linial planner can emit.
     """
-    import numpy as np
-
     coeffs = np.asarray(coeffs, dtype=np.int64)
     points = np.asarray(points, dtype=np.int64) % q
     vandermonde = np.empty((coeffs.shape[1], points.shape[0]), dtype=np.int64)

@@ -29,6 +29,8 @@ shard with the wave-parallel kernel — bit-identical to
 import shutil
 import tempfile
 
+import numpy as np
+
 from repro.baselines.greedy import first_fit_waves
 from repro.obs import core as obs
 from repro.oocore.store import (
@@ -37,7 +39,6 @@ from repro.oocore.store import (
     release_pages,
     scratch_root,
 )
-from repro.runtime.csr import numpy_or_none
 from repro.runtime.engine import Visibility
 from repro.runtime.fast_engine import BatchColoringEngine, batch_supported
 
@@ -69,11 +70,6 @@ class OocoreColoringEngine(BatchColoringEngine):
         workers=None,
         scratch=None,
     ):
-        if numpy_or_none() is None:
-            raise RuntimeError(
-                "backend='oocore' needs NumPy; install it with "
-                "`pip install repro[fast]`"
-            )
         if record_history:
             raise ValueError(
                 "record_history is not supported by the oocore engine "
@@ -152,9 +148,6 @@ def oocore_greedy(graph, order=None):
 
 
 def _oocore_greedy_impl(graph, order, tel):
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError("oocore greedy needs NumPy")
     if order is not None:
         raise ValueError(
             "custom orders are not supported by the out-of-core greedy; "
@@ -186,7 +179,7 @@ def _oocore_greedy_impl(graph, order, tel):
         # neighbors only — later shards are not gated here.
         in_shard = sl_global >= local.lo
         first_fit_waves(
-            np, rows, local.lindices, earlier,
+            rows, local.lindices, earlier,
             (~earlier) & (sl_global < local.hi),
             np.bincount(rows[earlier & in_shard], minlength=k),
             colors_local, palette,

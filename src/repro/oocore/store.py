@@ -24,9 +24,8 @@ the existing batch kernels run on it unchanged, and the *only* cross-shard
 data a round needs is the ``h``-entry halo color vector — the boundary
 exchange the partition-aware round loop meters.
 
-Everything here is plain NumPy + ``numpy.memmap``; the module raises
-:class:`RuntimeError` without NumPy (the out-of-core tier has no scalar
-fallback — it exists purely to scale the batch kernels past RAM).
+Everything here is plain NumPy + ``numpy.memmap`` (the out-of-core tier has
+no scalar fallback — it exists purely to scale the batch kernels past RAM).
 """
 
 import json
@@ -34,7 +33,9 @@ import mmap
 import os
 import tempfile
 
-from repro.runtime.csr import CSRAdjacency, numpy_or_none
+import numpy as np
+
+from repro.runtime.csr import CSRAdjacency
 
 __all__ = [
     "FORMAT_VERSION",
@@ -71,16 +72,6 @@ _MAX_DEFAULT_SHARDS = 64
 
 class MemoryBudgetError(RuntimeError):
     """The planned resident footprint exceeds ``REPRO_OOCORE_BUDGET``."""
-
-
-def _require_numpy():
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError(
-            "the out-of-core tier needs NumPy; install it with "
-            "`pip install repro[fast]` (or unset REPRO_DISABLE_NUMPY)"
-        )
-    return np
 
 
 def parse_bytes(text):
@@ -164,7 +155,7 @@ def release_pages(array):
         pass
 
 
-def partition_ranges(np, indptr, n, shards):
+def partition_ranges(indptr, n, shards):
     """Contiguous vertex ranges balanced by adjacency-slot count.
 
     Cuts the slot axis into ``shards`` equal targets and maps each target
@@ -238,7 +229,6 @@ class ShardLocal:
         kernels themselves.
         """
         if self._global_indices is None:
-            np = _require_numpy()
             mm = self._graph._indices_memmap()
             self._global_indices = np.array(mm[self._start:self._end])
             self.bytes_read += self._global_indices.nbytes
@@ -288,7 +278,6 @@ class ShardedCSRGraph:
     # -- file handles -----------------------------------------------------------
 
     def _open(self, name, shape, mode="r"):
-        np = _require_numpy()
         if shape[0] == 0:
             return np.zeros(shape, dtype=np.int64)
         return np.memmap(
@@ -341,13 +330,11 @@ class ShardedCSRGraph:
 
     def halo_ids(self, shard_id):
         """The sorted halo vertex ids of one shard (int64 array)."""
-        np = _require_numpy()
         a, b = self.halo_offsets[shard_id], self.halo_offsets[shard_id + 1]
         return np.array(self._halo_memmap()[a:b])
 
     def local(self, shard_id):
         """Stream one shard's local CSR off disk as a :class:`ShardLocal`."""
-        np = _require_numpy()
         lo, hi = self.ranges[shard_id]
         indptr = np.array(self._indptr_memmap()[lo:hi + 1])
         start, end = int(indptr[0]), int(indptr[-1])
@@ -389,7 +376,6 @@ class ShardedCSRGraph:
         shard) resident at a time.  Meant for analysis at test sizes — at
         out-of-core sizes iterate per shard instead.
         """
-        np = _require_numpy()
         indptr_mm = self._indptr_memmap()
         indices_mm = self._indices_memmap()
         for lo, hi in self.ranges:
@@ -442,7 +428,6 @@ class PlaneStore:
     """
 
     def __init__(self, directory, n, ncomp):
-        np = _require_numpy()
         self.directory = directory
         self.n = n
         self.ncomp = ncomp

@@ -32,6 +32,8 @@ import json
 import os
 import random
 
+import numpy as np
+
 from repro.graphgen.generators import _GNP_BLOCK, _np_rng, _np_rng_sync_back
 from repro.oocore.store import (
     COLORS_FILE,
@@ -42,7 +44,6 @@ from repro.oocore.store import (
     LINDICES_FILE,
     META_FILE,
     ShardedCSRGraph,
-    _require_numpy,
     default_shards,
     partition_ranges,
     release_pages,
@@ -61,7 +62,6 @@ __all__ = [
 
 def _create(path, name, count):
     """A fresh int64 memmap file of ``count`` entries (zero-length safe)."""
-    np = _require_numpy()
     full = os.path.join(path, name)
     if count == 0:
         with open(full, "wb"):
@@ -77,10 +77,9 @@ def finalize_shards(path, n, m, indptr, indices, shards=None, provenance=None):
     or ndarray).  Writes ``lindices.i64``, ``halo.i64``, a zeroed
     ``colors.i64``, and ``meta.json``.
     """
-    np = _require_numpy()
     if shards is None:
         shards = default_shards(n, m)
-    ranges = partition_ranges(np, indptr, n, shards)
+    ranges = partition_ranges(indptr, n, shards)
     max_degree = int(np.diff(np.asarray(indptr)).max()) if n else 0
 
     lindices = _create(path, LINDICES_FILE, 2 * m)
@@ -132,7 +131,6 @@ def write_edge_arrays(path, n, u, v, shards=None, provenance=None):
     endpoint) are all ``< x`` and arrive in ascending order, then the
     forward ones (all ``> x``), also ascending — one sorted row.
     """
-    np = _require_numpy()
     os.makedirs(path, exist_ok=True)
     m = int(u.shape[0])
     degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
@@ -170,7 +168,6 @@ def write_random_regular(path, n, d, seed, shards=None):
     in a sorted base-count table plus a small delta dict touched only by
     repairs, instead of an O(m) Python dict.
     """
-    np = _require_numpy()
     provenance = {"generator": "random_regular", "n": n, "d": d, "seed": seed}
     if n * d % 2:
         raise ValueError("n * d must be even for a d-regular graph")
@@ -190,7 +187,7 @@ def write_random_regular(path, n, d, seed, shards=None):
         )
     rng = random.Random(seed)
     stub_count = n * d
-    state = _np_rng(rng, np)
+    state = _np_rng(rng)
     keys = state.random_sample(stub_count)
     _np_rng_sync_back(rng, state)
     owners = np.argsort(keys, kind="stable")
@@ -295,13 +292,12 @@ def write_gnp(path, n, p, seed, shards=None):
     (ascending ``i``) land before its forward ones (ascending ``j``) — the
     sorted rows ``StaticGraph`` would build.
     """
-    np = _require_numpy()
     provenance = {"generator": "gnp", "n": n, "p": p, "seed": seed}
     os.makedirs(path, exist_ok=True)
 
     def blocks():
         rng = random.Random(seed)
-        state = _np_rng(rng, np)
+        state = _np_rng(rng)
         start_row = 0
         while start_row < n - 1:
             end_row = start_row
@@ -364,7 +360,6 @@ def shard_static_graph(graph, path, shards=None, provenance=None):
     """Convert an in-memory :class:`StaticGraph` (or CSR-bearing drop-in)
     to a shard directory — the bridge for families without a streaming
     writer and for ``backend=\"oocore\"`` on an already-built graph."""
-    np = _require_numpy()
     os.makedirs(path, exist_ok=True)
     csr = graph.csr()
     indptr = _create(path, INDPTR_FILE, graph.n + 1)
@@ -407,7 +402,6 @@ def ensure_sharded(spec, shards=None, cache=True):
     deterministic), so sweeps reuse the shard files across jobs and even
     across processes.
     """
-    _require_numpy()
     spec = dict(spec)
     directory = _cache_dir_for(spec, shards)
     if cache and os.path.exists(os.path.join(directory, META_FILE)):

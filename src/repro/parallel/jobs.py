@@ -650,11 +650,10 @@ def execute_job(spec, collect_telemetry=False, graph=None, trace=None):
     exception type, message, and traceback, so a crashing job cannot take a
     worker (or the pool protocol) down with it.
 
-    ``graph`` short-circuits materialization with an already-built adjacency
-    view — the shared-memory fan-out hands workers an attached
-    :class:`~repro.parallel.shm.SharedGraphView` here.  Results are
-    bit-identical either way: the view answers every query the generated
-    graph would.
+    ``graph`` short-circuits materialization with an already-built graph —
+    the shared-memory fan-out hands workers a
+    :class:`~repro.runtime.graph.StaticGraph` over an attached segment here.
+    Results are bit-identical either way: it is the generated graph's CSR.
 
     ``trace`` is the parent collector's
     :meth:`~repro.obs.core.Telemetry.trace_context`: when telemetry is
@@ -728,13 +727,12 @@ def execute_payload(payload):
     """
     spec = JobSpec.from_dict(payload["spec"])
     graph = None
-    view = None
+    segment = None
     if payload.get("shm_graph") is not None:
         from repro.parallel import shm
 
         try:
-            view = shm.attach_graph(payload["shm_graph"])
-            graph = view
+            graph, segment = shm.attach_graph(payload["shm_graph"])
         except Exception:
             graph = None
     try:
@@ -753,8 +751,14 @@ def execute_payload(payload):
                 pass
         return envelope
     finally:
-        if view is not None:
-            view.detach()
+        if segment is not None:
+            # Drop this frame's views into the segment before closing the
+            # mapping; a view still held elsewhere leaves it to the GC.
+            graph = None
+            try:
+                segment.close()
+            except BufferError:
+                pass
 
 
 def execute_chunk(payloads):

@@ -32,6 +32,8 @@ a second, read-only pass over the settled plane (:func:`_scan_shard`).
 import shutil
 import tempfile
 
+import numpy as np
+
 from repro.obs import core as obs
 from repro.obs import flight
 from repro.oocore.store import (
@@ -42,7 +44,6 @@ from repro.oocore.store import (
     release_pages,
 )
 from repro.parallel.shm import SegmentManager, shared_memory_or_none
-from repro.runtime.csr import numpy_or_none
 from repro.runtime.fast_engine import equal_pairs, round_counts, scalar_color
 
 __all__ = ["PartitionRunner"]
@@ -74,7 +75,6 @@ def _step_shard(runner, shard_id, round_index, src):
 
     Returns ``(changed, finalized, all_final, io_read, io_written)``.
     """
-    np = numpy_or_none()
     ncomp = runner.planes.ncomp
     local, io_read = runner.local(shard_id)
     lo, hi, k = local.lo, local.hi, local.k
@@ -96,7 +96,7 @@ def _step_shard(runner, shard_id, round_index, src):
     for comp in range(ncomp):
         dst_planes[comp][lo:hi] = new_state[comp][:k]
     _release(runner, dst_planes, src_planes)
-    return counts + (io_read + local.bytes_read, 8 * k * ncomp)
+    return counts + (io_read, 8 * k * ncomp)
 
 
 def _scan_shard(runner, shard_id, src):
@@ -108,7 +108,6 @@ def _scan_shard(runner, shard_id, src):
     order — and ``first`` is the shard's first improper edge as
     ``(u, v, scalar color of u)`` in global ids, or None.
     """
-    np = numpy_or_none()
     local, _ = runner.local(shard_id)
     slots = local.lindices.shape[0]
     if not slots:
@@ -258,7 +257,6 @@ class PartitionRunner:
 
     def _start(self):
         """Halo views, the worker pool and the residency gauges."""
-        np = numpy_or_none()
         graph, ncomp = self.graph, self.planes.ncomp
         workers = 1 if self.workers is None else int(self.workers)
         context = self._fork_context()
@@ -329,7 +327,6 @@ class PartitionRunner:
 
     def _owned(self, lo, hi):
         """Rows ``[lo, hi)`` of the current state, read into RAM."""
-        np = numpy_or_none()
         return tuple(
             np.array(self.planes.view(self.src, comp)[lo:hi])
             for comp in range(self.planes.ncomp)
@@ -390,7 +387,6 @@ class PartitionRunner:
         Returns ``(decoded, final state)``; the final state is only pinned
         in RAM up to ``_SCALAR_STATE_LIMIT`` vertices (None above).
         """
-        np = numpy_or_none()
         graph = self.graph
         decoded = np.empty(graph.n, dtype=np.int64)
         colors_plane = graph.colors_plane() if graph.n else None

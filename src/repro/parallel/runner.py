@@ -154,14 +154,6 @@ class JobRunner:
             if self.mode == "process":
                 raise RuntimeError("multiprocessing is unavailable; use mode='inline'")
             return False
-        if self.mode == "auto":
-            from repro.runtime.csr import numpy_available
-
-            if not numpy_available():
-                # Reference-engine jobs are dominated by Python interpretation;
-                # per-process interpreter copies rarely pay for themselves, and
-                # ISSUE-level policy is to degrade to inline without NumPy.
-                return False
         return True
 
     def _ensure_pool(self):
@@ -265,7 +257,7 @@ class JobRunner:
             if self.shm is True:
                 raise RuntimeError(
                     "shared-memory fan-out requested but unavailable "
-                    "(no multiprocessing.shared_memory, no NumPy, or REPRO_DISABLE_SHM=1)"
+                    "(no multiprocessing.shared_memory)"
                 )
             return None
         if self._manager is None:

@@ -8,9 +8,9 @@ payloads into ``multiprocessing.shared_memory`` segments instead:
 * **graph segments** — the parent writes a graph's CSR adjacency
   (``indptr`` followed by ``indices``, both ``int64``) into one segment and
   ships only the segment *name* plus shape metadata; workers attach and wrap
-  the buffers in a :class:`SharedGraphView`, a read-only
-  :class:`~repro.runtime.graph.StaticGraph` drop-in, so the per-worker
-  rebuild disappears entirely;
+  the buffers in a CSR-backed :class:`~repro.runtime.graph.StaticGraph`
+  (:meth:`~repro.runtime.graph.StaticGraph.from_csr`, no copy), so the
+  per-worker rebuild disappears entirely;
 * **color segments** — one small per-job segment the worker writes the
   final color array into, replacing the list in the envelope with a tiny
   marker the parent resolves back from the segment (``offload_colors`` /
@@ -26,9 +26,9 @@ Workers never unlink — a killed or crashed worker can therefore never leak a
 ``/dev/shm`` entry; the mapping dies with its process.
 
 Every path degrades to the by-value protocol with bit-identical results:
-no ``shared_memory`` module, no NumPy, ``REPRO_DISABLE_SHM=1``, a failed
-attach inside a worker, or a color list the segment cannot represent all
-simply leave the plain-dict envelope untouched.
+no ``shared_memory`` module, ``shm=False`` on the runner, a failed attach
+inside a worker, or a color list the segment cannot represent all simply
+leave the plain-dict envelope untouched.
 """
 
 import atexit
@@ -36,13 +36,15 @@ import os
 import secrets
 import weakref
 
+import numpy as np
+
 from repro.obs import core as obs
-from repro.runtime.csr import CSRAdjacency, numpy_or_none
+from repro.runtime.csr import CSRAdjacency
+from repro.runtime.graph import StaticGraph
 
 __all__ = [
     "SEGMENT_PREFIX",
     "SegmentManager",
-    "SharedGraphView",
     "ShmPlane",
     "attach_graph",
     "export_graph",
@@ -59,7 +61,6 @@ SEGMENT_PREFIX = "repro-shm-"
 #: Marker key the worker leaves in ``payload["colors"]`` after offloading.
 COLORS_KEY = "__shm_colors__"
 
-_DISABLE_ENV = "REPRO_DISABLE_SHM"
 _BUDGET_ENV = "REPRO_SHM_BUDGET"
 
 #: Cap on live segment bytes per ``map_jobs`` call; graphs beyond it run by
@@ -68,13 +69,7 @@ _DEFAULT_BUDGET = 2 << 30
 
 
 def shared_memory_or_none():
-    """The ``multiprocessing.shared_memory`` module, or None when unusable.
-
-    ``REPRO_DISABLE_SHM=1`` forces None — the differential escape hatch that
-    proves the by-value path is bit-identical (mirrors ``REPRO_DISABLE_NUMPY``).
-    """
-    if os.environ.get(_DISABLE_ENV) == "1":
-        return None
+    """The ``multiprocessing.shared_memory`` module, or None when unusable."""
     try:
         from multiprocessing import shared_memory
     except (ImportError, OSError):
@@ -84,7 +79,7 @@ def shared_memory_or_none():
 
 def shm_available():
     """True iff the shared-memory fan-out plane can be used at all."""
-    return shared_memory_or_none() is not None and numpy_or_none() is not None
+    return shared_memory_or_none() is not None
 
 
 def shm_budget():
@@ -216,11 +211,8 @@ def export_graph(manager, graph):
 
     Layout: ``indptr`` (``n + 1`` int64) at offset 0, ``indices`` (``2m``
     int64) immediately after.  Returns None when the graph cannot be
-    exported (no NumPy — ``csr()`` raises — or segment creation failed).
+    exported (segment creation failed).
     """
-    np = numpy_or_none()
-    if np is None:
-        return None
     try:
         csr = graph.csr()
         segment = manager.create(csr.indptr.nbytes + csr.indices.nbytes)
@@ -237,16 +229,21 @@ def export_graph(manager, graph):
         "segment": segment.name,
         "n": int(graph.n),
         "m": int(graph.m),
-        "max_degree": int(graph.max_degree),
         "nbytes": csr.indptr.nbytes + csr.indices.nbytes,
     }
 
 
 def attach_graph(meta):
-    """Worker-side: attach to an exported graph segment as a :class:`SharedGraphView`."""
+    """Worker-side: attach to an exported graph segment.
+
+    Returns ``(graph, segment)``: a CSR-backed
+    :class:`~repro.runtime.graph.StaticGraph` whose ``indptr``/``indices``
+    *are* the segment memory (only the derived CSR columns are computed
+    here), and the attached segment, which the caller closes once the graph
+    is dropped.
+    """
     shared_memory = shared_memory_or_none()
-    np = numpy_or_none()
-    if shared_memory is None or np is None:
+    if shared_memory is None:
         raise RuntimeError("shared memory is unavailable")
     segment = shared_memory.SharedMemory(name=meta["segment"])
     n, m = int(meta["n"]), int(meta["m"])
@@ -254,137 +251,7 @@ def attach_graph(meta):
     indices = np.ndarray(
         (2 * m,), dtype=np.int64, buffer=segment.buf, offset=(n + 1) * 8
     )
-    return SharedGraphView(
-        n, m, indptr, indices, int(meta["max_degree"]), segment=segment
-    )
-
-
-class SharedGraphView:
-    """Read-only :class:`~repro.runtime.graph.StaticGraph` drop-in over shared CSR.
-
-    Mirrors the full query surface algorithms and recipes use — ``n``,
-    ``ids``, ``vertices``, ``neighbors``, ``degree``, ``edges``, ``m``,
-    ``max_degree``, ``csr``, ``has_edge``, ``bfs_distances``, ``subgraph`` —
-    so a worker can run any job against the attached buffers with zero
-    rebuild.  ``ids`` is ``range(n)``, identical to every generated graph's
-    default, which keeps id-keyed initial colorings bit-identical.
-    """
-
-    __slots__ = ("n", "ids", "_m", "_max_degree", "_indptr", "_indices", "_segment", "_csr", "_edges")
-
-    def __init__(self, n, m, indptr, indices, max_degree, segment=None):
-        self.n = n
-        self.ids = range(n)
-        self._m = m
-        self._max_degree = max_degree
-        self._indptr = indptr
-        self._indices = indices
-        self._segment = segment
-        self._csr = None
-        self._edges = None
-
-    # -- queries (StaticGraph parity) -------------------------------------------
-
-    def vertices(self):
-        """Return the vertex range ``0..n-1``."""
-        return range(self.n)
-
-    def neighbors(self, v):
-        """Return the sorted tuple of neighbors of ``v``."""
-        lo, hi = int(self._indptr[v]), int(self._indptr[v + 1])
-        return tuple(self._indices[lo:hi].tolist())
-
-    def degree(self, v):
-        """Return the degree of ``v``."""
-        return int(self._indptr[v + 1] - self._indptr[v])
-
-    @property
-    def edges(self):
-        """Return the sorted tuple of edges as ``(u, v)`` with ``u < v``."""
-        if self._edges is None:
-            csr = self.csr()
-            self._edges = tuple(zip(csr.edge_u.tolist(), csr.edge_v.tolist()))
-        return self._edges
-
-    @property
-    def m(self):
-        """Return the number of edges."""
-        return self._m
-
-    @property
-    def max_degree(self):
-        """Return the maximum degree ``Delta`` (0 for the empty graph)."""
-        return self._max_degree
-
-    def csr(self):
-        """Return the :class:`~repro.runtime.csr.CSRAdjacency` over the shared buffers.
-
-        Zero-copy: ``indptr``/``indices`` *are* the segment memory; only the
-        derived columns (rows, degrees, edge endpoints) are materialized, and
-        the result is cached for the view's lifetime.
-        """
-        if self._csr is None:
-            self._csr = CSRAdjacency.from_arrays(self.n, self._indptr, self._indices)
-        return self._csr
-
-    def has_edge(self, u, v):
-        """Return True iff ``(u, v)`` is an edge (binary search in the row)."""
-        lo, hi = int(self._indptr[u]), int(self._indptr[u + 1])
-        np = numpy_or_none()
-        pos = lo + int(np.searchsorted(self._indices[lo:hi], v))
-        return pos < hi and int(self._indices[pos]) == v
-
-    def bfs_distances(self, sources):
-        """BFS distances from the closest source (StaticGraph semantics)."""
-        from collections import deque
-
-        indptr, indices = self._indptr, self._indices
-        distances = {}
-        queue = deque()
-        for source in sources:
-            if source not in distances:
-                distances[source] = 0
-                queue.append(source)
-        while queue:
-            u = queue.popleft()
-            for w in indices[int(indptr[u]):int(indptr[u + 1])].tolist():
-                if w not in distances:
-                    distances[w] = distances[u] + 1
-                    queue.append(w)
-        return distances
-
-    def subgraph(self, vertex_subset):
-        """Return the induced :class:`StaticGraph` on ``vertex_subset`` (relabeled)."""
-        from repro.runtime.graph import StaticGraph
-
-        ordered = sorted(set(vertex_subset))
-        index = {v: i for i, v in enumerate(ordered)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        ids = [self.ids[v] for v in ordered]
-        return StaticGraph(len(ordered), edges, ids=ids), index
-
-    def detach(self):
-        """Drop the array views and close this process's mapping."""
-        self._csr = None
-        self._indptr = None
-        self._indices = None
-        if self._segment is not None:
-            try:
-                self._segment.close()
-            except BufferError:
-                pass
-            self._segment = None
-
-    def __repr__(self):
-        return "SharedGraphView(n=%d, m=%d, max_degree=%d)" % (
-            self.n,
-            self._m,
-            self._max_degree,
-        )
+    return StaticGraph.from_csr(CSRAdjacency.from_arrays(n, indptr, indices)), segment
 
 
 # -- the color plane ------------------------------------------------------------------
@@ -406,8 +273,7 @@ def offload_colors(envelope, meta):
     if not isinstance(colors, list) or len(colors) > meta["capacity"]:
         return
     shared_memory = shared_memory_or_none()
-    np = numpy_or_none()
-    if shared_memory is None or np is None:
+    if shared_memory is None:
         return
     try:
         array = np.asarray(colors)
@@ -436,7 +302,6 @@ def restore_colors(envelope, meta, manager):
     if not (isinstance(colors, dict) and COLORS_KEY in colors):
         return
     segment = manager.get(meta["segment"])
-    np = numpy_or_none()
     count = int(colors[COLORS_KEY])
     view = np.ndarray((meta["capacity"],), dtype=np.int64, buffer=segment.buf)
     payload["colors"] = view[:count].tolist()

@@ -12,11 +12,9 @@ One registry constructs every execution engine, keyed by *kind*:
 Every kind exposes the same three backend names (``"engine"`` adds
 ``"oocore"``, the out-of-core engine over memory-mapped shards):
 
-* ``"auto"`` — the vectorized batch engine when NumPy is available (and,
-  when the caller passes the relevant hint, when the workload supports the
-  batch protocol); the pure-Python reference engine otherwise;
-* ``"batch"`` — force the vectorized engine; raises :class:`RuntimeError`
-  when NumPy is missing;
+* ``"auto"`` — the vectorized batch engine, unless the caller's hint names
+  a workload without batch kernels; the pure-Python reference engine then;
+* ``"batch"`` — force the vectorized engine;
 * ``"reference"`` — force the pure-Python reference engine.
 
 Usage::
@@ -90,12 +88,6 @@ def resolve_backend(kind, backend="auto"):
 # -- builtin backends: the one-shot coloring engine ---------------------------------
 
 
-def _numpy_missing_error():
-    return RuntimeError(
-        "backend='batch' needs NumPy; install it with `pip install repro[fast]`"
-    )
-
-
 def _engine_reference(graph, stages=None, **kwargs):
     """The pure-Python reference engine (``stages`` hint ignored)."""
     from repro.runtime.engine import ColoringEngine
@@ -104,25 +96,19 @@ def _engine_reference(graph, stages=None, **kwargs):
 
 
 def _engine_batch(graph, stages=None, **kwargs):
-    """The vectorized batch engine; NumPy is mandatory here."""
-    from repro.runtime.csr import numpy_available
+    """The vectorized batch engine."""
     from repro.runtime.fast_engine import BatchColoringEngine
 
-    if not numpy_available():
-        raise _numpy_missing_error()
     return BatchColoringEngine(graph, **kwargs)
 
 
 def _engine_auto(graph, stages=None, **kwargs):
-    """Batch when NumPy is up and every hinted stage supports it, else
-    reference.  The batch engine falls back to the scalar path per-stage, so
-    the ``stages`` hint may be omitted."""
-    from repro.runtime.csr import numpy_available
+    """Batch when every hinted stage has batch kernels, else reference.  The
+    batch engine falls back to the scalar path per-stage, so the ``stages``
+    hint may be omitted."""
     from repro.runtime.fast_engine import BatchColoringEngine, batch_supported
 
-    if numpy_available() and (
-        stages is None or all(batch_supported(s) for s in stages)
-    ):
+    if stages is None or all(batch_supported(s) for s in stages):
         return BatchColoringEngine(graph, **kwargs)
     from repro.runtime.engine import ColoringEngine
 
@@ -133,17 +119,10 @@ def _engine_oocore(graph, stages=None, **kwargs):
     """The out-of-core engine over memory-mapped CSR shards.
 
     Accepts a :class:`~repro.oocore.store.ShardedCSRGraph` directly or any
-    CSR-bearing graph (converted into scratch shards).  NumPy is mandatory:
-    the out-of-core tier exists purely to scale the batch kernels past RAM
-    and has no scalar fallback.
+    CSR-bearing graph (converted into scratch shards).  The out-of-core tier
+    exists purely to scale the batch kernels past RAM and has no scalar
+    fallback.
     """
-    from repro.runtime.csr import numpy_available
-
-    if not numpy_available():
-        raise RuntimeError(
-            "backend='oocore' needs NumPy; install it with "
-            "`pip install repro[fast]`"
-        )
     from repro.oocore.engine import OocoreColoringEngine
 
     return OocoreColoringEngine(graph, **kwargs)
@@ -160,25 +139,21 @@ def _selfstab_reference(graph, algorithm, **kwargs):
 
 
 def _selfstab_batch(graph, algorithm, **kwargs):
-    """The vectorized self-stabilization engine; NumPy is mandatory here.
+    """The vectorized self-stabilization engine.
 
     (The batch engine still falls back to the scalar step per-round for
     algorithms without the batch transition protocol.)
     """
-    from repro.runtime.csr import numpy_available
     from repro.selfstab.fast_engine import BatchSelfStabEngine
 
-    if not numpy_available():
-        raise _numpy_missing_error()
     return BatchSelfStabEngine(graph, algorithm, **kwargs)
 
 
 def _selfstab_auto(graph, algorithm, **kwargs):
-    """Batch when NumPy is up and the algorithm has batch transitions."""
-    from repro.runtime.csr import numpy_available
+    """Batch when the algorithm has batch transitions, else reference."""
     from repro.selfstab.fast_engine import BatchSelfStabEngine, batch_supported
 
-    if numpy_available() and batch_supported(algorithm):
+    if batch_supported(algorithm):
         return BatchSelfStabEngine(graph, algorithm, **kwargs)
     from repro.selfstab.engine import SelfStabEngine
 

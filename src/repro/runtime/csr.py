@@ -17,47 +17,13 @@ handful of array operations:
 ``edge_u`` / ``edge_v`` mirror ``StaticGraph.edges`` (sorted, ``u < v``) for
 vectorized properness checks.
 
-NumPy is an optional dependency (the ``repro[fast]`` extra); this module is
-only imported once a caller actually asks for a CSR view, and everything
-else in the package works without it.
+NumPy is a hard dependency of the package: every non-reference tier steps
+its rounds through these arrays.
 """
 
-import os
+import numpy as np
 
-__all__ = ["CSRAdjacency", "numpy_or_none", "numpy_available"]
-
-_DISABLE_ENV = "REPRO_DISABLE_NUMPY"
-
-
-def numpy_or_none():
-    """Return the ``numpy`` module, or ``None`` if unavailable/disabled.
-
-    Setting ``REPRO_DISABLE_NUMPY=1`` makes the whole acceleration layer
-    behave as if NumPy were not installed — the CI knob that keeps the
-    pure-Python fallback honest without a second virtualenv.
-    """
-    if os.environ.get(_DISABLE_ENV) == "1":
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-def numpy_available():
-    """True iff the batch backend can run (NumPy importable and not disabled)."""
-    return numpy_or_none() is not None
-
-
-def _require_numpy():
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError(
-            "the batch engine needs NumPy; install it with `pip install repro[fast]`"
-            " (or unset %s)" % _DISABLE_ENV
-        )
-    return np
+__all__ = ["CSRAdjacency"]
 
 
 class CSRAdjacency:
@@ -82,7 +48,6 @@ class CSRAdjacency:
     @classmethod
     def from_graph(cls, graph):
         """Flatten ``graph``'s adjacency into CSR arrays."""
-        np = _require_numpy()
         n = graph.n
         degrees = np.fromiter(
             (graph.degree(v) for v in range(n)), dtype=np.int64, count=n
@@ -118,7 +83,6 @@ class CSRAdjacency:
         """
         from itertools import chain
 
-        np = _require_numpy()
         verts = graph.vertices()
         n = len(verts)
         verts_arr = np.asarray(verts, dtype=np.int64)
@@ -156,7 +120,6 @@ class CSRAdjacency:
         forward slots in row-major order enumerate the edges in the sorted
         ``u < v`` order of ``StaticGraph.edges``.
         """
-        np = _require_numpy()
         degrees = np.diff(indptr)
         rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
         forward = rows < indices
@@ -176,7 +139,6 @@ class CSRAdjacency:
 
     def count_per_vertex(self, slot_mask):
         """Count True slots per owning vertex (empty neighborhoods count 0)."""
-        np = _require_numpy()
         return np.bincount(self.rows[slot_mask], minlength=self.n)
 
     def any_per_vertex(self, slot_mask):
@@ -191,7 +153,6 @@ class CSRAdjacency:
         multiplicity-sensitive rules (ArbAG's conflict count) must dedupe
         before counting.  Columns are the components of the neighbor color.
         """
-        np = _require_numpy()
         size = self.rows.size
         keep = np.ones(size, dtype=bool)
         if size == 0:

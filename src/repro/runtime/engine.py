@@ -21,6 +21,8 @@ SET_LOCAL:
 import enum
 import time
 
+import numpy as np
+
 from repro.errors import ImproperColoringError, PaletteOverflowError
 from repro.obs import core as obs
 from repro.runtime.algorithm import NetworkInfo
@@ -95,9 +97,7 @@ class RunResult:
         if self._num_colors is None:
             if self._int_colors is None:
                 # Array-backed: count without materializing the list.
-                from repro.runtime.csr import numpy_or_none
-
-                unique = numpy_or_none().unique(self.int_colors_array)
+                unique = np.unique(self.int_colors_array)
                 self._num_colors = int(unique.shape[0])
             else:
                 self._num_colors = len(set(self._int_colors))

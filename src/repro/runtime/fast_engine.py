@@ -54,10 +54,11 @@ count the same way by construction.
 import functools
 import time
 
+import numpy as np
+
 from repro.errors import ImproperColoringError, PaletteOverflowError
 from repro.obs import core as obs
 from repro.runtime.algorithm import NetworkInfo
-from repro.runtime.csr import numpy_available, numpy_or_none
 from repro.runtime.engine import ColoringEngine, RunResult, Visibility
 from repro.runtime.metrics import MetricsLog, RoundMetrics
 
@@ -124,7 +125,6 @@ def round_counts(stage, old, new, k):
     count through here, so a sharded run sums to exactly the in-memory
     numbers: vertex ownership is a partition.
     """
-    np = numpy_or_none()
     changed = 0
     if k:
         mask = np.zeros(k, dtype=bool)
@@ -143,7 +143,6 @@ def equal_pairs(state, rows, nbrs):
     full-color comparison exactly.  Conflict counts and the per-round
     properness check both read it.
     """
-    np = numpy_or_none()
     equal = np.ones(rows.shape[0], dtype=bool)
     for column in state:
         equal &= column[rows] == column[nbrs]
@@ -191,7 +190,6 @@ class MemoryPlane:
 
     def first_conflict(self):
         """The first improper edge as ``(u, v, scalar color of u)``, or None."""
-        np = numpy_or_none()
         equal = equal_pairs(self.state, self.csr.edge_u, self.csr.edge_v)
         if not bool(equal.any()):
             return None
@@ -212,8 +210,8 @@ class BatchColoringEngine(ColoringEngine):
     """Drop-in :class:`ColoringEngine` that vectorizes supporting stages.
 
     Construction, parameters, and results match the reference engine; only
-    the inner loop differs.  A stage without ``step_batch`` (or a run with
-    NumPy disabled) transparently uses the inherited scalar path.
+    the inner loop differs.  A stage without ``step_batch`` transparently
+    uses the inherited scalar path.
 
     The round loop runs over the plane :meth:`_open_plane` returns — here
     the in-memory :class:`MemoryPlane`; the out-of-core engine swaps in its
@@ -232,17 +230,14 @@ class BatchColoringEngine(ColoringEngine):
         configure=True,
     ):
         """Execute ``stage``; see :meth:`ColoringEngine.run` for the contract."""
-        if not batch_supported(stage) or not numpy_available():
+        if not batch_supported(stage):
             tel = obs.active()
             if tel.enabled:
                 # Fallback-to-scalar is a first-class observability signal: a
                 # batch engine quietly running scalar rounds is the #1 way to
                 # lose an order of magnitude of throughput.
-                reason = (
-                    "no-step-batch" if not batch_supported(stage) else "no-numpy"
-                )
                 tel.counter("engine.fallback_scalar", stage=stage.name)
-                tel.event("engine.fallback", stage=stage.name, reason=reason)
+                tel.event("engine.fallback", stage=stage.name, reason="no-step-batch")
             if hasattr(initial_coloring, "tolist"):
                 # An ndarray handed over by a batch-aware pipeline; the
                 # scalar path wants plain Python ints.
@@ -278,7 +273,6 @@ class BatchColoringEngine(ColoringEngine):
                 raise ImproperColoringError(round_index, (u, v), color)
 
     def _run_batch(self, stage, initial_coloring, in_palette_size, max_rounds, configure):
-        np = numpy_or_none()
         graph = self.graph
         if len(initial_coloring) != graph.n:
             raise ValueError("initial coloring must assign a color to every vertex")

@@ -13,6 +13,10 @@ and re-appearances keep stable identities.
 
 from collections import deque
 
+import numpy as np
+
+from repro.runtime.csr import CSRAdjacency
+
 __all__ = ["StaticGraph", "DynamicGraph"]
 
 
@@ -31,7 +35,7 @@ class StaticGraph:
         paper).  Defaults to the vertex index itself.
     """
 
-    __slots__ = ("n", "_adjacency", "_edges", "ids", "_id_set", "_max_degree", "_csr")
+    __slots__ = ("n", "_adjacency", "_edges", "ids", "_max_degree", "_csr")
 
     # Below this many input edges the plain-Python constructor wins; above
     # it the array path (same validation, dedup, and sorted structures)
@@ -79,10 +83,10 @@ class StaticGraph:
                 raise ValueError("ids must have length n")
             if len(set(self.ids)) != n:
                 raise ValueError("ids must be unique")
-        self._id_set = frozenset(self.ids)
 
     def _bulk_init(self, n, edges):
-        """Array-path constructor body; returns False when NumPy is off.
+        """Array-path constructor body; returns False for ragged or
+        non-integer input, which takes the per-edge loop instead.
 
         Bit-identical to the per-edge loop: same first-error messages (the
         first offending edge in input order, self-loop checked before range),
@@ -95,11 +99,6 @@ class StaticGraph:
         touch ``csr()`` (e.g. engine runs on a line graph) never pay for the
         per-vertex tuple materialization.
         """
-        from repro.runtime.csr import numpy_or_none
-
-        np = numpy_or_none()
-        if np is None:
-            return False
         try:
             arr = np.asarray(edges)
         except (ValueError, TypeError):
@@ -127,23 +126,27 @@ class StaticGraph:
         degrees = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        self.n = n
-        self._adjacency = None
-        self._edges = None
-        self._max_degree = int(degrees.max()) if n else 0
-        from repro.runtime.csr import CSRAdjacency
-
-        self._csr = CSRAdjacency(
-            n,
-            int(key.shape[0]),
-            indptr,
-            dst,
-            np.repeat(np.arange(n, dtype=np.int64), degrees),
-            degrees,
-            edge_u,
-            edge_v,
+        self._adopt(
+            CSRAdjacency(
+                n,
+                int(key.shape[0]),
+                indptr,
+                dst,
+                np.repeat(np.arange(n, dtype=np.int64), degrees),
+                degrees,
+                edge_u,
+                edge_v,
+            )
         )
         return True
+
+    def _adopt(self, csr):
+        """Become the CSR-backed lazy graph over ``csr``."""
+        self.n = csr.n
+        self._adjacency = None
+        self._edges = None
+        self._max_degree = int(csr.degrees.max()) if csr.n else 0
+        self._csr = csr
 
     def _materialize(self):
         """Build the Python adjacency/edge tuples from the CSR (lazy path)."""
@@ -156,6 +159,20 @@ class StaticGraph:
         self._edges = tuple(zip(csr.edge_u.tolist(), csr.edge_v.tolist()))
 
     # -- construction helpers -------------------------------------------------
+
+    @classmethod
+    def from_csr(cls, csr):
+        """A graph over an existing :class:`~repro.runtime.csr.CSRAdjacency`.
+
+        The arrays are used as they are (no copy), so ``csr`` may live in
+        shared memory; the adjacency and edge tuples are built from them on
+        first access.  ``ids`` is ``range(n)``, every generated graph's
+        default.
+        """
+        graph = cls.__new__(cls)
+        graph._adopt(csr)
+        graph.ids = range(csr.n)
+        return graph
 
     @classmethod
     def from_networkx(cls, nx_graph, ids=None):
@@ -231,13 +248,9 @@ class StaticGraph:
         """Return the cached :class:`~repro.runtime.csr.CSRAdjacency` view.
 
         Built lazily on first use and cached for the lifetime of the graph
-        (the graph is immutable, so the arrays never go stale).  Requires
-        NumPy (the ``repro[fast]`` extra); raises :class:`RuntimeError` with
-        an install hint when it is missing.
+        (the graph is immutable, so the arrays never go stale).
         """
         if self._csr is None:
-            from repro.runtime.csr import CSRAdjacency
-
             self._csr = CSRAdjacency.from_graph(self)
         return self._csr
 

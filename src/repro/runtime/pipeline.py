@@ -130,8 +130,8 @@ class ColoringPipeline:
 
         ``backend`` selects the engine through the
         :mod:`~repro.runtime.backends` registry: ``"auto"`` uses the
-        vectorized batch engine when NumPy is available, falling back to the
-        scalar path per-stage; ``"batch"`` / ``"reference"`` force a side.
+        vectorized batch engine, falling back to the scalar path per-stage
+        for stages without batch kernels; ``"batch"`` / ``"reference"`` force a side.
 
         The run is batch-aware end-to-end: when a stage executes on the
         vectorized path its decoded int64 array feeds the next stage directly

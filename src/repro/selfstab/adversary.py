@@ -19,6 +19,7 @@ into the RAM columns in place (no dict rebuild, no column re-encode), and
 topology churn invalidates the CSR view once per epoch, not per event.
 """
 
+import bisect
 import random
 
 __all__ = ["FaultCampaign", "TargetedAttacks"]
@@ -112,8 +113,8 @@ class FaultCampaign:
         """Remove random edges and add random legal ones."""
         affected = []
         for _ in range(removals):
-            edges = engine.graph.edges()
-            if not edges:
+            edges = _SortedEdges(engine.graph)
+            if not len(edges):
                 break
             u, v = self.rng.choice(edges)
             engine.remove_edge(u, v)
@@ -128,6 +129,31 @@ class FaultCampaign:
             engine.add_edge(u, v)
             affected.extend((u, v))
         return affected
+
+
+class _SortedEdges:
+    """The present edges ``(u, v)``, ``u < v``, in ``graph.edges()`` order.
+
+    A lazy sequence for ``rng.choice``: ``len`` sums the degrees in O(n),
+    and indexing walks the vertices to the k-th edge in O(n + m) without
+    building and sorting the list of all m edges per removed edge.
+    """
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.total = sum(graph.degree(v) for v in graph.vertices()) // 2
+
+    def __len__(self):
+        return self.total
+
+    def __getitem__(self, k):
+        for u in self.graph.vertices():
+            neighbors = self.graph.neighbors(u)
+            first = bisect.bisect_right(neighbors, u)
+            if k < len(neighbors) - first:
+                return u, neighbors[first + k]
+            k -= len(neighbors) - first
+        raise IndexError(k)
 
 
 class _OpenPairs:

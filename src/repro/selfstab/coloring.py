@@ -18,6 +18,8 @@ ever detect an error, and finalized AG colors never move, so the adjustment
 radius is 1 (Theorem 4.3's argument).
 """
 
+import numpy as np
+
 from repro.linial.core import linial_next_color
 from repro.selfstab.engine import SelfStabAlgorithm
 from repro.selfstab.kernels import (
@@ -134,7 +136,7 @@ class SelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
     # pure elementwise arithmetic.  All rules are existence-based, so the
     # kernel is identical in LOCAL and SET-LOCAL.
 
-    def _np_offsets(self, np):
+    def _np_offsets(self):
         arr = self.__dict__.get("_offsets_arr")
         if arr is None:
             arr = np.asarray(self.plan.offsets, dtype=np.int64)
@@ -143,10 +145,10 @@ class SelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
 
     def transition_batch_colors(self, colors, ctx):
         """Vectorized ``transition`` over the whole color column."""
-        np, csr = ctx.np, ctx.csr
+        csr = ctx.csr
         plan, q = self.plan, self.q
         offsets = plan.offsets
-        levels = batch_levels(colors, plan, self._np_offsets(np), np)
+        levels = batch_levels(colors, plan, self._np_offsets())
         new = np.empty(colors.shape[0], dtype=np.int64)
 
         # Check-Error: invalid or conflicting colors reset to the ID slot.
@@ -179,7 +181,7 @@ class SelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
 
     def _batch_land(self, new, colors, mask1, slot_levels, ctx):
         """Excl-Linial landing (I_1 -> I_0) with the forbidden set S'."""
-        np, csr = ctx.np, ctx.csr
+        csr = ctx.csr
         plan, q = self.plan, self.q
         off1 = plan.offsets[1]
         sub = np.nonzero(mask1)[0]
@@ -218,7 +220,6 @@ class SelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
             nbr_locals[keep],
             lambda x, values: x * q + values,
             forbidden,
-            np,
         )
         if result is None:
             ctx.replay()
@@ -239,7 +240,7 @@ class SelfStabColoring(ColorBatchOps, SelfStabAlgorithm):
                     return False
         return True
 
-    def batch_is_legal(self, state, csr, np):
+    def batch_is_legal(self, state, csr):
         """Vectorized :meth:`is_legal` over canonical columns.
 
         Finalized core states are exactly ``offset <= c < offset + q``

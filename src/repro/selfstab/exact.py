@@ -27,6 +27,8 @@ with low states, and the forbidden set keeps them off every high neighbor's
 possible next state.
 """
 
+import numpy as np
+
 from repro.mathutil.gf import eval_poly_mod, int_to_poly_coeffs
 from repro.selfstab.engine import SelfStabAlgorithm
 from repro.selfstab.kernels import (
@@ -198,7 +200,7 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
     # next states of each core neighbor) and the level-0 machine (the
     # decoded high/low hybrid, elementwise) differ.
 
-    def _np_offsets(self, np):
+    def _np_offsets(self):
         arr = self.__dict__.get("_offsets_arr")
         if arr is None:
             arr = np.asarray(self.plan.offsets, dtype=np.int64)
@@ -207,9 +209,9 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
 
     def transition_batch_colors(self, colors, ctx):
         """Vectorized ``transition`` over the whole color column."""
-        np, csr = ctx.np, ctx.csr
+        csr = ctx.csr
         plan = self.plan
-        levels = batch_levels(colors, plan, self._np_offsets(np), np)
+        levels = batch_levels(colors, plan, self._np_offsets())
         new = np.empty(colors.shape[0], dtype=np.int64)
 
         conflict = csr.any_per_vertex(csr.gather(colors) == csr.owner_values(colors))
@@ -230,7 +232,7 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
             self._batch_core(new, colors, mask0, slot_levels, ctx)
         return new
 
-    def _batch_core_options(self, core_locals, np):
+    def _batch_core_options(self, core_locals):
         """Per-value next-state options: ``(opt1, opt2, has2)`` core-locals.
 
         Vectorized ``_core_candidates``: low working states may rotate or
@@ -257,7 +259,7 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
 
     def _batch_land(self, new, colors, mask1, slot_levels, ctx):
         """Excl-Linial landing into the high range: state (H, x+1, P_v(x))."""
-        np, csr = ctx.np, ctx.csr
+        csr = ctx.csr
         plan, p = self.plan, self.p
         two_n = 2 * self.n_colors
         off1 = plan.offsets[1]
@@ -274,7 +276,7 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
         cmask = mask1[csr.rows] & (slot_levels == 0)
         core_rows = inv[csr.rows[cmask]]
         opt1, opt2, has2 = self._batch_core_options(
-            colors[csr.indices[cmask]], np  # offsets[0] == 0
+            colors[csr.indices[cmask]]  # offsets[0] == 0
         )
 
         def forbidden(cand, pending):
@@ -297,7 +299,6 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
             nbr_locals[keep],
             lambda x, values: two_n + x * p + values,
             forbidden,
-            np,
         )
         if result is None:
             ctx.replay()
@@ -305,7 +306,7 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
 
     def _batch_core(self, new, colors, mask0, slot_levels, ctx):
         """The extended high/low hybrid step, elementwise over the core."""
-        np, csr = ctx.np, ctx.csr
+        csr = ctx.csr
         n, p = self.n_colors, self.p
         two_n = 2 * n
         # offsets[0] == 0: core-local values are the colors themselves.
@@ -367,7 +368,7 @@ class SelfStabExactColoring(ColorBatchOps, SelfStabAlgorithm):
                     return False
         return True
 
-    def batch_is_legal(self, state, csr, np):
+    def batch_is_legal(self, state, csr):
         """Vectorized :meth:`is_legal` over canonical columns.
 
         Final low states ('L', 0, a) are exactly

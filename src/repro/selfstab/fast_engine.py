@@ -25,12 +25,14 @@ from the columns on first access after a batch round.
 
 Algorithms opt in via ``batch_transitions``; for anything else (e.g. the
 constant-memory variants) every round transparently falls back to the
-inherited scalar ``step`` — as it does when NumPy is unavailable or the
-adversary planted an int too large for the columns.
+inherited scalar ``step`` — as it does when the adversary planted an int too
+large for the columns.
 """
 
+import numpy as np
+
 from repro.obs import core as obs
-from repro.runtime.csr import CSRAdjacency, numpy_available, numpy_or_none
+from repro.runtime.csr import CSRAdjacency
 from repro.selfstab.engine import SelfStabEngine
 from repro.selfstab.kernels import BatchContext
 
@@ -143,12 +145,9 @@ class BatchSelfStabEngine(SelfStabEngine):
     # -- execution ----------------------------------------------------------------
 
     def _prepare_batch(self):
-        """Build/refresh the epoch + columns; returns numpy or None (scalar)."""
+        """Build/refresh the epoch + columns; False when the round runs scalar."""
         if not batch_supported(self.algorithm):
-            return None
-        np = numpy_or_none()
-        if np is None:
-            return None
+            return False
         if self._epoch is None:
             csr, verts_arr = CSRAdjacency.from_dynamic(self.graph)
             verts_list = verts_arr.tolist()
@@ -158,18 +157,17 @@ class BatchSelfStabEngine(SelfStabEngine):
             self._state = None
         if self._state is None:
             raws = [self._rams[v] for v in self._epoch[2]]
-            encoded = self.algorithm.batch_encode(raws, np)
+            encoded = self.algorithm.batch_encode(raws)
             if encoded is None:
-                return None  # exotic RAM: scalar round, exact parity for free
+                return False  # exotic RAM: scalar round, exact parity for free
             self._state, self._noncanon = encoded
-        return np
+        return True
 
     def step(self):
         """One fault-free synchronous round; returns the set of changed vertices."""
-        np = self._prepare_batch()
-        if np is None:
+        if not self._prepare_batch():
             return self._scalar_step()
-        changed = self._batch_round(np)
+        changed = self._batch_round()
         if not bool(changed.any()):
             return set()
         return set(self._epoch[1][changed].tolist())
@@ -179,9 +177,7 @@ class BatchSelfStabEngine(SelfStabEngine):
         if self._state is not None and not self._noncanon and self._epoch is not None:
             fn = getattr(self.algorithm, "batch_is_legal", None)
             if fn is not None:
-                np = numpy_or_none()
-                if np is not None:
-                    return bool(fn(self._state, self._epoch[0], np))
+                return bool(fn(self._state, self._epoch[0]))
         return super().is_legal()
 
     def _scalar_step(self):
@@ -199,7 +195,7 @@ class BatchSelfStabEngine(SelfStabEngine):
         self._noncanon = {}
         return changed
 
-    def _batch_round(self, np):
+    def _batch_round(self):
         csr, verts_arr, verts_list, _ = self._epoch
         state = self._state
         noncanon = self._noncanon
@@ -224,10 +220,10 @@ class BatchSelfStabEngine(SelfStabEngine):
                 self.max_message_bits = bits
             if getattr(algorithm, "batch_payload_wants_ids", False):
                 column_bits = algorithm.batch_payload_max(
-                    state, include, np, ids=verts_arr
+                    state, include, ids=verts_arr
                 )
             else:
-                column_bits = algorithm.batch_payload_max(state, include, np)
+                column_bits = algorithm.batch_payload_max(state, include)
             if column_bits > self.max_message_bits:
                 self.max_message_bits = column_bits
 
@@ -237,9 +233,7 @@ class BatchSelfStabEngine(SelfStabEngine):
                 raws[i] = raw
             return raws
 
-        ctx = BatchContext(
-            np, csr, verts_arr, self.set_visibility, algorithm, raw_values
-        )
+        ctx = BatchContext(csr, verts_arr, self.set_visibility, algorithm, raw_values)
         new_state, changed = algorithm.transition_batch(state, ctx)
         self._state = new_state
         self._noncanon = {}

@@ -29,6 +29,8 @@ Every rule here is existence/forall-based over the neighbor multiset, so
 one kernel serves both the LOCAL and SET-LOCAL visibility models.
 """
 
+import numpy as np
+
 from repro.mathutil.gf import batch_eval_points, batch_poly_coeffs
 
 __all__ = [
@@ -72,10 +74,9 @@ def replay_scalar_round(algorithm, raws, csr, vertices, set_visibility):
 class BatchContext:
     """Everything a ``transition_batch`` kernel needs for one round."""
 
-    __slots__ = ("np", "csr", "vertices", "set_visibility", "algorithm", "raw_values")
+    __slots__ = ("csr", "vertices", "set_visibility", "algorithm", "raw_values")
 
-    def __init__(self, np, csr, vertices, set_visibility, algorithm, raw_values):
-        self.np = np
+    def __init__(self, csr, vertices, set_visibility, algorithm, raw_values):
         self.csr = csr
         self.vertices = vertices  # int64 array: compact index -> original id
         self.set_visibility = set_visibility
@@ -97,7 +98,7 @@ class BatchContext:
         )
 
 
-def batch_levels(colors, plan, offsets_arr, np):
+def batch_levels(colors, plan, offsets_arr):
     """Interval index per color column entry; -1 for invalid values.
 
     Mirrors ``IntervalPlan.level_of``: any int64 value outside
@@ -108,7 +109,7 @@ def batch_levels(colors, plan, offsets_arr, np):
     return np.where(valid, idx, -1)
 
 
-def masked_point_search(locals_, q, degree, points, nbr_rows, nbr_locals, encode, forbidden, np):
+def masked_point_search(locals_, q, degree, points, nbr_rows, nbr_locals, encode, forbidden):
     """Smallest conflict-free evaluation point per vertex, vectorized.
 
     The batch analogue of ``linial_next_color`` / ``_land``: encode each
@@ -177,7 +178,7 @@ def apply_upper_descent(new, colors, levels, slot_levels, active, plan, ctx):
     Shared verbatim by the plain and exact colorings (their transitions only
     differ at levels 1 and 0).  Writes results into ``new`` in place.
     """
-    np, csr = ctx.np, ctx.csr
+    csr = ctx.csr
     offsets = plan.offsets
     upper = active & (levels >= 2)
     if not bool(upper.any()):
@@ -204,7 +205,6 @@ def apply_upper_descent(new, colors, levels, slot_levels, active, plan, ctx):
             nbr_locals[keep],
             lambda x, values: x * q + values,
             None,
-            np,
         )
         if result is None:
             ctx.replay()
@@ -221,7 +221,7 @@ class ColorBatchOps:
 
     batch_transitions = True
 
-    def batch_encode(self, raws, np):
+    def batch_encode(self, raws):
         """Columns for a RAM list: ``((values,), noncanon)`` or None (exotic)."""
         values = np.empty(len(raws), dtype=np.int64)
         noncanon = {}
@@ -252,7 +252,7 @@ class ColorBatchOps:
         """The canonical (post-step) state as the scalar RAM list."""
         return state[0].tolist()
 
-    def batch_payload_max(self, state, include, np):
+    def batch_payload_max(self, state, include):
         """Max broadcast payload bits over the included canonical vertices."""
         values = state[0][include]
         if values.size == 0:

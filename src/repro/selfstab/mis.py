@@ -19,6 +19,8 @@ stable 2-neighborhood keeps its witness — adjustment radius 2
 (Theorem 4.6).
 """
 
+import numpy as np
+
 from repro.analysis.invariants import is_maximal_independent_set
 from repro.selfstab.coloring import SelfStabColoring
 from repro.selfstab.engine import SelfStabAlgorithm
@@ -126,7 +128,7 @@ class SelfStabMIS(SelfStabAlgorithm):
 
         return SENTINEL, False, status_san, status_raw, False
 
-    def batch_encode(self, raws, np):
+    def batch_encode(self, raws):
         """Columns for a RAM list: ``(state, noncanon)`` or None (exotic)."""
         size = len(raws)
         color_vals = np.empty(size, dtype=np.int64)
@@ -158,7 +160,7 @@ class SelfStabMIS(SelfStabAlgorithm):
             for color, code in zip(color_vals.tolist(), status_raw.tolist())
         ]
 
-    def batch_payload_max(self, state, include, np):
+    def batch_payload_max(self, state, include):
         """Max broadcast payload bits: color bits plus the status string's."""
         color_vals, _, _, status_raw = state
         best = 0
@@ -173,7 +175,7 @@ class SelfStabMIS(SelfStabAlgorithm):
 
     def transition_batch(self, state, ctx):
         """One synchronous round: ``(new_state, changed_mask)``."""
-        np, csr = ctx.np, ctx.csr
+        csr = ctx.csr
         color_vals, color_is_int, status_san, status_raw = state
         new_colors = self.coloring.transition_batch_colors(color_vals, ctx)
 

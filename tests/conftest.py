@@ -50,25 +50,6 @@ def standard_graphs():
     ]
 
 
-def pytest_collection_modifyitems(config, items):
-    """Skip ``requires_numpy`` tests when the batch backend cannot run.
-
-    This is the no-numpy job's switch: running the suite with NumPy absent
-    (or ``REPRO_DISABLE_NUMPY=1``) must leave every remaining test green on
-    the pure-Python fallback.
-    """
-    from repro.runtime.csr import numpy_available
-
-    if numpy_available():
-        return
-    skip = pytest.mark.skip(
-        reason="NumPy absent or disabled (REPRO_DISABLE_NUMPY=1)"
-    )
-    for item in items:
-        if "requires_numpy" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(params=standard_graphs(), ids=lambda pair: pair[0])
 def any_graph(request):
     """Parametrized fixture running a test over the whole graph zoo."""

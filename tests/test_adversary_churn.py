@@ -1,8 +1,9 @@
 """``FaultCampaign.churn_edges``: same edges as the pair enumeration, at scale.
 
-The campaign draws each added edge with ``rng.choice`` over the legal
-non-edges in lexicographic order.  It finds the drawn pair by walking the
-open vertices instead of listing all O(n^2) pairs; these tests pin the
+The campaign draws each removed edge with ``rng.choice`` over the present
+edges in sorted order, and each added edge over the legal non-edges in
+lexicographic order.  It finds the drawn pair by walking the vertices
+instead of listing every edge or all O(n^2) pairs; these tests pin the
 choice to the listing it replaces and bound its cost at n = 20000.
 """
 
@@ -87,6 +88,23 @@ def test_chosen_edges_match_pair_listing(seed):
         assert fast.graph.edges() == slow.graph.edges()
     # Both consumed the identical random stream.
     assert campaign.rng.random() == oracle_rng.random()
+
+
+def test_removals_never_list_every_edge(monkeypatch):
+    static = random_regular(2000, 8, seed=3)
+    listed = _TopologyOnly(DynamicGraph.from_static(static))
+    want = _listing_churn(random.Random(4), listed, 40, 0)
+    want_edges = listed.graph.edges()
+
+    def no_listing(self):
+        raise AssertionError("churn_edges listed every edge")
+
+    engine = _TopologyOnly(DynamicGraph.from_static(static))
+    monkeypatch.setattr(DynamicGraph, "edges", no_listing)
+    got = FaultCampaign(4).churn_edges(engine, removals=40, additions=0)
+    monkeypatch.undo()
+    assert got == want
+    assert engine.graph.edges() == want_edges
 
 
 def test_no_legal_pair_adds_nothing():

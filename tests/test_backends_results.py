@@ -10,7 +10,6 @@ from repro.runtime.backends import (
     register_backend,
     resolve_backend,
 )
-from repro.runtime.csr import numpy_available
 from repro.runtime.engine import ColoringEngine
 from repro.runtime.results import Result, is_result, summarize
 
@@ -43,14 +42,10 @@ class TestBackendRegistry:
         assert type(engine) is ColoringEngine
 
     def test_batch_requires_numpy(self):
-        factory = resolve_backend("engine", "batch")
-        if numpy_available():
-            from repro.runtime.fast_engine import BatchColoringEngine
+        from repro.runtime.fast_engine import BatchColoringEngine
 
-            assert isinstance(factory(_graph()), BatchColoringEngine)
-        else:
-            with pytest.raises(RuntimeError, match="NumPy"):
-                factory(_graph())
+        factory = resolve_backend("engine", "batch")
+        assert isinstance(factory(_graph()), BatchColoringEngine)
 
     def test_selfstab_construction(self):
         from repro.runtime.graph import DynamicGraph

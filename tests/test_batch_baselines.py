@@ -7,11 +7,8 @@ contract is *bit-for-bit* equivalence with the scalar reference: identical
 colors, identical round counts, and (for engine-run stages) identical
 per-round metrics rows.  These tests enforce that across topologies, seeds
 and orders, through the module functions and through the
-:func:`repro.parallel.jobs.register_algorithm` registry, and pin the
-backend dispatch behavior when NumPy is absent.
+:func:`repro.parallel.jobs.register_algorithm` registry.
 """
-
-import pytest
 
 from repro.baselines.bek import bek_delta_plus_one
 from repro.baselines.greedy import greedy_coloring
@@ -26,19 +23,7 @@ from repro.graphgen import (
 )
 from repro.parallel.jobs import algorithm_names, resolve_algorithm
 from repro.runtime.backends import resolve_backend
-from repro.runtime.csr import numpy_available
 from repro.runtime.graph import StaticGraph
-
-requires_numpy = pytest.mark.requires_numpy
-without_numpy = pytest.mark.skipif(
-    numpy_available(), reason="covers the no-NumPy environment only"
-)
-
-
-def _skip_without_numpy():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
-
 
 def graphs():
     yield StaticGraph(0, [])
@@ -52,17 +37,13 @@ def graphs():
 
 
 class TestGreedyParity:
-    @requires_numpy
     def test_natural_order(self):
-        _skip_without_numpy()
         for graph in graphs():
             assert greedy_coloring(graph, backend="batch") == greedy_coloring(
                 graph, backend="reference"
             )
 
-    @requires_numpy
     def test_permuted_orders(self):
-        _skip_without_numpy()
         import random
 
         graph = gnp_graph(50, 0.2, seed=9)
@@ -73,9 +54,7 @@ class TestGreedyParity:
                 graph, order=order, backend="batch"
             ) == greedy_coloring(graph, order=order, backend="reference")
 
-    @requires_numpy
     def test_partial_order_falls_back_identically(self):
-        _skip_without_numpy()
         graph = path_graph(8)
         order = [0, 2, 4]  # not a permutation: scalar sweep on both tiers
         assert greedy_coloring(
@@ -84,9 +63,7 @@ class TestGreedyParity:
 
 
 class TestRandomizedParity:
-    @requires_numpy
     def test_trial_coloring_across_seeds(self):
-        _skip_without_numpy()
         for graph in graphs():
             if graph.n == 0:
                 continue
@@ -95,11 +72,9 @@ class TestRandomizedParity:
                     graph, seed, backend="batch"
                 ) == random_trial_coloring(graph, seed, backend="reference")
 
-    @requires_numpy
     def test_trial_coloring_wide_palette(self):
         # A palette much wider than Delta+1 exercises the uniform-draw
         # fast path (mirrored Mersenne-Twister stream) on later rounds too.
-        _skip_without_numpy()
         graph = random_regular(80, 8, seed=2)
         for seed in (3, 11):
             assert random_trial_coloring(
@@ -108,9 +83,7 @@ class TestRandomizedParity:
                 graph, seed, palette=40, backend="reference"
             )
 
-    @requires_numpy
     def test_luby_mis(self):
-        _skip_without_numpy()
         for graph in graphs():
             for seed in (1, 5):
                 assert luby_mis(graph, seed, backend="batch") == luby_mis(
@@ -129,17 +102,13 @@ class TestEngineBaselineParity:
             in_palette_size=max(2, graph.n),
         )
 
-    @requires_numpy
     def test_kuhn_wattenhofer(self):
-        _skip_without_numpy()
         for graph in graphs():
             ref = self._run(KuhnWattenhoferReduction, graph, "reference")
             bat = self._run(KuhnWattenhoferReduction, graph, "batch")
             assert ref.to_dict() == bat.to_dict()
 
-    @requires_numpy
     def test_bek(self):
-        _skip_without_numpy()
         for graph in graphs():
             ref = bek_delta_plus_one(graph, backend="reference")
             bat = bek_delta_plus_one(graph, backend="batch")
@@ -161,9 +130,7 @@ class TestRegistryParity:
         for name in self.NAMES:
             assert name in algorithm_names()
 
-    @requires_numpy
     def test_cross_tier_summaries(self):
-        _skip_without_numpy()
         graph = random_regular(80, 6, seed=6)
         graph.csr()
         for name in self.NAMES:
@@ -175,29 +142,8 @@ class TestRegistryParity:
             assert bat.num_colors == ref.num_colors
 
     def test_reference_tier_runs_everywhere(self):
-        # No NumPy required: the scalar tier must work in the no-NumPy job.
         graph = path_graph(12)
         for name in self.NAMES:
             result = resolve_algorithm(name)(graph, backend="reference", seed=1)
             assert result.rounds >= 0
             assert result.num_colors >= 1
-
-
-class TestNoNumpyDispatch:
-    @without_numpy
-    def test_batch_backend_raises_without_numpy(self):
-        graph = path_graph(6)
-        with pytest.raises(RuntimeError, match="needs NumPy"):
-            greedy_coloring(graph, backend="batch")
-        with pytest.raises(RuntimeError, match="NumPy"):
-            resolve_backend("engine", "batch")(graph)
-
-    @without_numpy
-    def test_auto_backend_falls_back_to_reference(self):
-        graph = path_graph(6)
-        colors = greedy_coloring(graph, backend="auto")
-        assert colors == greedy_coloring(graph, backend="reference")
-        colors, rounds = random_trial_coloring(graph, 5, backend="auto")
-        assert (colors, rounds) == random_trial_coloring(
-            graph, 5, backend="reference"
-        )

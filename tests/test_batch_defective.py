@@ -33,15 +33,7 @@ from repro.recipes import (
     sublinear_delta_plus_one_coloring,
 )
 from repro.runtime.backends import resolve_backend
-from repro.runtime.csr import numpy_available
 from repro.runtime.graph import StaticGraph
-
-requires_numpy = pytest.mark.requires_numpy
-
-
-def _skip_without_numpy():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
 
 
 def graphs():
@@ -64,18 +56,14 @@ def _run_defective(graph, tolerance, backend):
 
 
 class TestDefectiveLinialParity:
-    @requires_numpy
     def test_cross_tier_summaries_and_metrics(self):
-        _skip_without_numpy()
         for graph in graphs():
             for tolerance in (1, 2, 4):
                 ref = _run_defective(graph, tolerance, "reference")
                 bat = _run_defective(graph, tolerance, "batch")
                 assert ref.to_dict() == bat.to_dict(), (graph.n, tolerance)
 
-    @requires_numpy
     def test_defect_stays_within_stage_bound(self):
-        _skip_without_numpy()
         graph = random_regular(120, 10, seed=11)
         for tolerance in (1, 3):
             stage = DefectiveLinialColoring(tolerance)
@@ -101,17 +89,13 @@ class TestDefectiveLinialParity:
 
 
 class TestKuhnEdgeParity:
-    @requires_numpy
     def test_edge_coloring_matches_reference(self):
-        _skip_without_numpy()
         for graph in graphs():
             assert kuhn_defective_edge_coloring(
                 graph, backend="batch"
             ) == kuhn_defective_edge_coloring(graph, backend="reference")
 
-    @requires_numpy
     def test_arrays_agree_with_dict_form(self):
-        _skip_without_numpy()
         graph = gnp_graph(40, 0.2, seed=12)
         by_edge = kuhn_defective_edge_coloring(graph, backend="batch")
         i_arr, j_arr = kuhn_defective_edge_arrays(graph)
@@ -133,9 +117,7 @@ class TestKKnob:
         with pytest.raises(ValueError, match=">= 1"):
             _resolve_k_knob(None, 0, 16)
 
-    @requires_numpy
     def test_recipes_accept_k(self):
-        _skip_without_numpy()
         graph = random_regular(60, 8, seed=13)
         small_k = one_plus_eps_delta_coloring(graph, k=1)
         large_k = one_plus_eps_delta_coloring(graph, k=8)
@@ -146,9 +128,7 @@ class TestKKnob:
         with pytest.raises(ValueError, match="not both"):
             one_plus_eps_delta_coloring(graph, tolerance=2, k=2)
 
-    @requires_numpy
     def test_registry_defective_takes_k(self):
-        _skip_without_numpy()
         graph = random_regular(60, 8, seed=14)
         graph.csr()
         fn = resolve_algorithm("defective")

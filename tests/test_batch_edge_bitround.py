@@ -7,10 +7,8 @@ references: identical edge colors, identical per-stage round counts, and
 identical bit ledgers (``bits_per_edge_by_stage`` / ``bit_rounds_by_phase``
 — the batch tier computes them from the channel drain's closed form, the
 reference by actually shipping every bit).  The suite covers every protocol
-variant, degenerate topologies, and the no-NumPy dispatch behavior.
+variant and degenerate topologies.
 """
-
-import pytest
 
 from repro.bitround.edge_coloring import run_edge_coloring_bit_protocol
 from repro.bitround.vertex_coloring import run_vertex_coloring_bit_protocol
@@ -24,19 +22,7 @@ from repro.graphgen import (
     star_graph,
 )
 from repro.parallel.jobs import resolve_algorithm
-from repro.runtime.csr import numpy_available
 from repro.runtime.graph import StaticGraph
-
-requires_numpy = pytest.mark.requires_numpy
-without_numpy = pytest.mark.skipif(
-    numpy_available(), reason="covers the no-NumPy environment only"
-)
-
-
-def _skip_without_numpy():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
-
 
 def graphs():
     yield StaticGraph(0, [])
@@ -58,9 +44,7 @@ def _assert_proper_edge_coloring(graph, edge_colors):
 
 
 class TestLineGraphParity:
-    @requires_numpy
     def test_batch_line_graph_matches_reference(self):
-        _skip_without_numpy()
         for graph in graphs():
             ref_line, ref_index = build_line_graph(graph, backend="reference")
             bat_line, bat_index = build_line_graph(graph, backend="batch")
@@ -70,9 +54,7 @@ class TestLineGraphParity:
 
 
 class TestCongestEdgeParity:
-    @requires_numpy
     def test_cross_tier_summaries(self):
-        _skip_without_numpy()
         for graph in graphs():
             for exact in (False, True):
                 ref = edge_coloring_congest(
@@ -81,9 +63,7 @@ class TestCongestEdgeParity:
                 bat = edge_coloring_congest(graph, exact=exact, backend="batch")
                 assert ref.to_dict() == bat.to_dict(), (graph.n, exact)
 
-    @requires_numpy
     def test_coloring_is_proper_within_palette(self):
-        _skip_without_numpy()
         graph = random_regular(48, 6, seed=23)
         result = edge_coloring_congest(graph, exact=True, backend="batch")
         _assert_proper_edge_coloring(graph, result.edge_colors)
@@ -92,17 +72,13 @@ class TestCongestEdgeParity:
 
 
 class TestBitroundVertexParity:
-    @requires_numpy
     def test_cross_tier_summaries(self):
-        _skip_without_numpy()
         for graph in graphs():
             ref = run_vertex_coloring_bit_protocol(graph, backend="reference")
             bat = run_vertex_coloring_bit_protocol(graph, backend="batch")
             assert ref.to_dict() == bat.to_dict(), graph.n
 
-    @requires_numpy
     def test_ledger_phases_present(self):
-        _skip_without_numpy()
         graph = random_regular(40, 4, seed=24)
         run = run_vertex_coloring_bit_protocol(graph, backend="batch")
         assert set(run.rounds_by_phase) == {
@@ -115,9 +91,7 @@ class TestBitroundVertexParity:
 
 
 class TestBitroundEdgeParity:
-    @requires_numpy
     def test_cross_tier_summaries_all_variants(self):
-        _skip_without_numpy()
         for graph in graphs():
             for exact in (False, True):
                 for known in (False, True):
@@ -139,9 +113,7 @@ class TestBitroundEdgeParity:
                         known,
                     )
 
-    @requires_numpy
     def test_exact_variant_hits_2delta_minus_1(self):
-        _skip_without_numpy()
         graph = random_regular(32, 4, seed=25)
         run = run_edge_coloring_bit_protocol(graph, exact=True, backend="batch")
         _assert_proper_edge_coloring(graph, run.edge_colors)
@@ -155,9 +127,7 @@ class TestBitroundEdgeParity:
 
 
 class TestRegistryParity:
-    @requires_numpy
     def test_cross_tier_summaries(self):
-        _skip_without_numpy()
         graph = random_regular(40, 6, seed=26)
         graph.csr()
         for name in ("edge", "bitround", "bitround-edge"):
@@ -172,22 +142,3 @@ class TestRegistryParity:
             result = resolve_algorithm(name)(graph, backend="reference", seed=2)
             assert result.rounds > 0
             assert result.num_colors >= 1
-
-
-class TestNoNumpyDispatch:
-    @without_numpy
-    def test_batch_backend_raises_without_numpy(self):
-        graph = path_graph(6)
-        with pytest.raises(RuntimeError, match="needs NumPy"):
-            edge_coloring_congest(graph, backend="batch")
-        with pytest.raises(RuntimeError, match="needs NumPy"):
-            run_vertex_coloring_bit_protocol(graph, backend="batch")
-        with pytest.raises(RuntimeError, match="needs NumPy"):
-            run_edge_coloring_bit_protocol(graph, backend="batch")
-
-    @without_numpy
-    def test_auto_backend_falls_back_to_reference(self):
-        graph = path_graph(6)
-        auto = run_vertex_coloring_bit_protocol(graph, backend="auto")
-        ref = run_vertex_coloring_bit_protocol(graph, backend="reference")
-        assert auto.to_dict() == ref.to_dict()

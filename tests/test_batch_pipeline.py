@@ -7,14 +7,15 @@ standard reduction) runs vectorized.  These tests pin down:
 * full three-stage parity (``backend="batch"`` vs ``"reference"`` vs
   ``"auto"``) on graphs where Linial performs real iterations, in both
   visibility modes;
-* the ndarray hand-off between stages (``RunResult.int_colors_array``) and
-  the scalar fallback (``REPRO_DISABLE_NUMPY=1``) yielding identical results;
+* the ndarray hand-off between stages (``RunResult.int_colors_array``)
+  yielding identical results;
 * exact scalar error messages out of the batch kernels (under-sized field,
   exhausted target palette);
 * the uniform-stage fixed-point early exit behaving identically on both
   engines.
 """
 
+import numpy as np
 import pytest
 
 from repro import graphgen
@@ -29,16 +30,8 @@ from repro.runtime import (
     Visibility,
 )
 from repro.runtime.algorithm import LocallyIterativeColoring, NetworkInfo
-from repro.runtime.csr import numpy_available
-
-requires_numpy = pytest.mark.requires_numpy
 
 BOTH_VISIBILITIES = (Visibility.LOCAL, Visibility.SET_LOCAL)
-
-
-def _skip_without_numpy():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
 
 
 def linial_heavy_graph():
@@ -54,11 +47,9 @@ def linial_heavy_graph():
     return graph
 
 
-@requires_numpy
 @pytest.mark.parametrize("visibility", BOTH_VISIBILITIES, ids=lambda v: v.value)
 def test_three_stage_pipeline_parity(visibility):
     """Corollary 3.6 end to end: batch == reference == auto, bit for bit."""
-    _skip_without_numpy()
     graph = linial_heavy_graph()
     results = {
         backend: delta_plus_one_coloring(
@@ -77,12 +68,8 @@ def test_three_stage_pipeline_parity(visibility):
         assert result.to_dict() == reference.to_dict()
 
 
-@requires_numpy
 def test_pipeline_threads_ndarray_between_stages():
     """Batch stage outputs stay ndarrays across stage boundaries."""
-    _skip_without_numpy()
-    import numpy as np
-
     graph = linial_heavy_graph()
     result = delta_plus_one_coloring(graph, backend="batch")
     for _, stage_result in result.stage_results:
@@ -109,13 +96,10 @@ def test_pipeline_accepts_list_tuple_and_array_inputs():
     from_tuple = pipeline.run(graph, tuple(initial), in_palette_size=3)
     assert from_list.colors == from_tuple.colors
     assert initial == [v % 3 for v in range(9)], "input list must not be mutated"
-    if numpy_available():
-        import numpy as np
-
-        from_array = pipeline.run(
-            graph, np.asarray(initial, dtype=np.int64), in_palette_size=3
-        )
-        assert from_array.colors == from_list.colors
+    from_array = pipeline.run(
+        graph, np.asarray(initial, dtype=np.int64), in_palette_size=3
+    )
+    assert from_array.colors == from_list.colors
 
 
 def test_pipeline_skips_palette_scan_when_size_given():
@@ -128,24 +112,11 @@ def test_pipeline_skips_palette_scan_when_size_given():
     assert stage.start_palette == 7
 
 
-def test_pipeline_fallback_matches_reference_without_numpy(monkeypatch):
-    """REPRO_DISABLE_NUMPY=1: auto degrades to the scalar path, same output."""
-    monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    graph = graphgen.random_regular(200, 4, seed=11)
-    disabled = delta_plus_one_coloring(graph, backend="auto")
-    monkeypatch.delenv("REPRO_DISABLE_NUMPY")
-    reference = delta_plus_one_coloring(graph, backend="reference")
-    assert disabled.colors == reference.colors
-    assert disabled.to_dict() == reference.to_dict()
-
-
 # -- exact scalar errors out of the batch kernels --------------------------------
 
 
-@requires_numpy
 def test_linial_batch_out_of_field_error_matches():
     """An input color too large for GF(q)^(d+1) raises the scalar message."""
-    _skip_without_numpy()
     graph = graphgen.random_regular(1000, 4, seed=7)
     bad = list(range(graph.n))
     bad[7] = 10 ** 9
@@ -158,10 +129,8 @@ def test_linial_batch_out_of_field_error_matches():
     assert "does not fit" in messages[0]
 
 
-@requires_numpy
 def test_linial_batch_no_free_point_error_matches():
     """An under-sized field (lying NetworkInfo) raises the scalar message."""
-    _skip_without_numpy()
     graph = graphgen.complete_graph(30)
     messages = []
     for engine_cls in (ColoringEngine, BatchColoringEngine):
@@ -176,10 +145,8 @@ def test_linial_batch_no_free_point_error_matches():
     assert "no conflict-free point" in messages[0]
 
 
-@requires_numpy
 def test_reduction_batch_exhausted_palette_error_matches():
     """A target palette below the true degree raises the scalar message."""
-    _skip_without_numpy()
     graph = graphgen.complete_graph(30)
     messages = []
     for engine_cls in (ColoringEngine, BatchColoringEngine):
@@ -222,9 +189,7 @@ class _FrozenUniformStage(LocallyIterativeColoring):
         return (initial,)
 
     def batch_is_final(self, state):
-        from repro.runtime.csr import numpy_or_none
-
-        return numpy_or_none().zeros(state[0].shape[0], dtype=bool)
+        return np.zeros(state[0].shape[0], dtype=bool)
 
     def batch_decode_final(self, state):
         return state[0]
@@ -243,10 +208,8 @@ def test_uniform_fixed_point_early_exit_reference():
     assert [r.changed_vertices for r in result.metrics.rounds] == [0]
 
 
-@requires_numpy
 def test_uniform_fixed_point_early_exit_parity():
     """Both engines take the identical early exit on the no-op fixed point."""
-    _skip_without_numpy()
     graph = graphgen.cycle_graph(6)
     reference = ColoringEngine(graph, record_history=True).run(
         _FrozenUniformStage(), list(range(6)), in_palette_size=6
@@ -277,10 +240,9 @@ def test_round_dependent_stage_survives_no_op_round():
     assert result.rounds_used == 2
     assert [r.changed_vertices for r in result.metrics.rounds] == [0, 1]
     assert max(result.int_colors) <= graph.max_degree
-    if numpy_available():
-        batch = BatchColoringEngine(graph).run(
-            StandardColorReduction(), initial, in_palette_size=6
-        )
-        assert batch.int_colors == result.int_colors
-        assert batch.rounds_used == result.rounds_used
-        assert batch.metrics.to_dict() == result.metrics.to_dict()
+    batch = BatchColoringEngine(graph).run(
+        StandardColorReduction(), initial, in_palette_size=6
+    )
+    assert batch.int_colors == result.int_colors
+    assert batch.rounds_used == result.rounds_used
+    assert batch.metrics.to_dict() == result.metrics.to_dict()

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.errors import NotStabilizedError
-from repro.runtime.csr import numpy_available
 from repro.runtime.graph import DynamicGraph
 from repro.selfstab import (
     BatchSelfStabEngine,
@@ -38,13 +37,6 @@ def make_selfstab_engine(graph, algorithm, set_visibility=False, backend="auto")
     return resolve_backend("selfstab", backend)(
         graph, algorithm, set_visibility=set_visibility
     )
-
-requires_numpy = pytest.mark.requires_numpy
-
-
-def _skip_without_numpy():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
 
 
 ALGORITHMS = (
@@ -123,7 +115,6 @@ def _assert_in_lockstep(ref, bat):
 
 @pytest.mark.parametrize("set_visibility", (False, True), ids=("local", "set-local"))
 @pytest.mark.parametrize("label,factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
-@requires_numpy
 def test_parity_random_storms(label, factory, set_visibility):
     """Cold start + random corruption bursts: every observable identical."""
     n, delta = 40, 5
@@ -143,7 +134,6 @@ def test_parity_random_storms(label, factory, set_visibility):
 
 
 @pytest.mark.parametrize("label,factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
-@requires_numpy
 def test_parity_garbage_and_exotic_rams(label, factory):
     """Adversarial RAM values: bools, tuples, strings, huge ints.
 
@@ -168,7 +158,6 @@ def test_parity_garbage_and_exotic_rams(label, factory):
 
 
 @pytest.mark.parametrize("label,factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
-@requires_numpy
 def test_parity_catastrophe_and_error_message(label, factory):
     """All-RAM-equal symmetry bomb, and NotStabilizedError parity."""
     n, delta = 30, 4
@@ -192,7 +181,6 @@ def test_parity_catastrophe_and_error_message(label, factory):
 
 
 @pytest.mark.parametrize("label,factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
-@requires_numpy
 def test_parity_churn_and_rewiring(label, factory):
     """Crashes, spawns and rewiring: CSR epochs rebuild correctly."""
     n, delta = 30, 5
@@ -209,7 +197,6 @@ def test_parity_churn_and_rewiring(label, factory):
         _assert_in_lockstep(ref, bat)
 
 
-@requires_numpy
 def test_parity_exhaustive_tiny_graphs():
     """Every graph on <= 4 vertices, every algorithm: cold-start parity."""
     import itertools
@@ -235,7 +222,6 @@ def test_parity_exhaustive_tiny_graphs():
                 assert dict(ref.rams) == dict(bat.rams), (n, bits, label)
 
 
-@requires_numpy
 def test_parity_adjustment_radius():
     """Localized faults: identical touched sets -> identical radii."""
     n = 40
@@ -255,7 +241,6 @@ def test_parity_adjustment_radius():
         assert radii[0] <= 1
 
 
-@requires_numpy
 def test_parity_line_protocols():
     """Matching and edge coloring on the line-graph mirror, per backend."""
     for wrapper_factory in (
@@ -274,7 +259,6 @@ def test_parity_line_protocols():
         assert results["reference"] == results["batch"]
 
 
-@requires_numpy
 def test_batch_engine_scalar_fallback_for_lowmem():
     """Unsupported algorithms run scalar rounds inside the batch engine."""
     n, delta = 20, 4
@@ -304,21 +288,6 @@ def test_dispatcher_backend_selection():
     ref = make_selfstab_engine(graph, algorithm, backend="reference")
     assert type(ref) is SelfStabEngine
     auto = make_selfstab_engine(graph, algorithm, backend="auto")
-    if numpy_available():
-        assert isinstance(auto, BatchSelfStabEngine)
-    else:
-        assert type(auto) is SelfStabEngine
+    assert isinstance(auto, BatchSelfStabEngine)
     with pytest.raises(ValueError, match="unknown backend"):
         make_selfstab_engine(graph, algorithm, backend="turbo")
-
-
-def test_dispatcher_batch_requires_numpy(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    graph = build_dynamic(6, 2, 0.3, seed=1)
-    algorithm = SelfStabColoring(6, 2)
-    with pytest.raises(RuntimeError, match="needs NumPy"):
-        make_selfstab_engine(graph, algorithm, backend="batch")
-    # auto degrades gracefully to the reference engine.
-    auto = make_selfstab_engine(graph, algorithm, backend="auto")
-    assert type(auto) is SelfStabEngine
-    assert auto.run_to_quiescence() >= 1

@@ -32,7 +32,6 @@ from repro.runtime import (
     batch_supported,
 )
 from repro.runtime.backends import resolve_backend
-from repro.runtime.csr import numpy_available
 
 
 def make_engine(graph, backend="auto", stages=None, **kwargs):
@@ -40,14 +39,7 @@ def make_engine(graph, backend="auto", stages=None, **kwargs):
     return resolve_backend("engine", backend)(graph, stages=stages, **kwargs)
 
 
-requires_numpy = pytest.mark.requires_numpy
-
 BOTH_VISIBILITIES = (Visibility.LOCAL, Visibility.SET_LOCAL)
-
-
-def _skip_without_numpy():
-    if not numpy_available():
-        pytest.skip("NumPy unavailable (or disabled via REPRO_DISABLE_NUMPY)")
 
 
 def assert_equivalent_runs(graph, make_stage, initial, palette, visibility):
@@ -127,7 +119,6 @@ def worst_case_graphs():
     ]
 
 
-@requires_numpy
 @pytest.mark.parametrize("visibility", BOTH_VISIBILITIES, ids=lambda v: v.value)
 @pytest.mark.parametrize("stage_id,make_stage,make_initial", DIFFERENTIAL_STAGES,
                          ids=[s[0] for s in DIFFERENTIAL_STAGES])
@@ -135,16 +126,13 @@ def worst_case_graphs():
                          ids=[g[0] for g in random_graphs() + worst_case_graphs()])
 def test_batch_matches_reference(graph_id, graph, stage_id, make_stage,
                                  make_initial, visibility):
-    _skip_without_numpy()
     initial, palette = make_initial(graph)
     assert_equivalent_runs(graph, make_stage, initial, palette, visibility)
 
 
-@requires_numpy
 @pytest.mark.parametrize("visibility", BOTH_VISIBILITIES, ids=lambda v: v.value)
 def test_batch_matches_reference_exhaustive_small(visibility):
     """Every graph on up to 4 vertices, every AG-family stage."""
-    _skip_without_numpy()
     n = 4
     all_edges = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(all_edges)):
@@ -155,10 +143,8 @@ def test_batch_matches_reference_exhaustive_small(visibility):
             assert_equivalent_runs(graph, make_stage, initial, palette, visibility)
 
 
-@requires_numpy
 def test_batch_engine_max_rounds_and_unfinished_decode():
     """max_rounds truncation raises the same decode error on both sides."""
-    _skip_without_numpy()
     graph = graphgen.complete_graph(8)
     # Probe the modulus, then start every vertex in the working band (a != 0).
     probe = AdditiveGroupColoring()
@@ -172,9 +158,7 @@ def test_batch_engine_max_rounds_and_unfinished_decode():
         assert "working stage" in str(excinfo.value)
 
 
-@requires_numpy
 def test_batch_engine_encode_validation_matches():
-    _skip_without_numpy()
     graph = graphgen.path_graph(3)
     stage = AdditiveGroupColoring()
     bad = [0, 1, 10 ** 9]
@@ -190,10 +174,8 @@ def test_batch_engine_encode_validation_matches():
     assert ref_msg is not None and ref_msg == bat_msg
 
 
-@requires_numpy
 def test_batch_engine_palette_overflow_matches():
     """A lying stage overflows the palette identically on both engines."""
-    _skip_without_numpy()
 
     class OverflowAG(AdditiveGroupColoring):
         @property
@@ -210,10 +192,8 @@ def test_batch_engine_palette_overflow_matches():
     assert messages[0] == messages[1]
 
 
-@requires_numpy
 def test_full_pipeline_identical_across_backends():
     """The end-to-end Corollary 3.6 pipeline is backend-invariant."""
-    _skip_without_numpy()
     graph = graphgen.gnp_graph(60, 0.12, seed=21)
     ref = delta_plus_one_coloring(graph, backend="reference")
     bat = delta_plus_one_coloring(graph, backend="batch")
@@ -261,9 +241,7 @@ def test_make_engine_rejects_unknown_backend():
         make_engine(graphgen.path_graph(2), backend="warp-drive")
 
 
-@requires_numpy
 def test_make_engine_auto_prefers_batch():
-    _skip_without_numpy()
     graph = graphgen.path_graph(4)
     assert type(make_engine(graph)) is BatchColoringEngine
     assert type(make_engine(graph, stages=[AdditiveGroupColoring()])) \
@@ -279,30 +257,7 @@ def test_make_engine_auto_falls_back_for_unsupported_stage():
     assert type(engine) is ColoringEngine
 
 
-def test_forced_numpy_disable_falls_back(monkeypatch):
-    """REPRO_DISABLE_NUMPY=1 turns the whole layer off, results unchanged."""
-    monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
-    assert not numpy_available()
-    graph = graphgen.gnp_graph(40, 0.1, seed=5)
-    engine = make_engine(graph)
-    assert type(engine) is ColoringEngine
-    with pytest.raises(RuntimeError):
-        make_engine(graph, backend="batch")
-    # An explicitly constructed batch engine degrades to the scalar path.
-    result = BatchColoringEngine(graph).run(
-        AdditiveGroupColoring(), list(range(graph.n))
-    )
-    monkeypatch.delenv("REPRO_DISABLE_NUMPY")
-    reference = ColoringEngine(graph).run(
-        AdditiveGroupColoring(), list(range(graph.n))
-    )
-    assert result.colors == reference.colors
-    assert result.rounds_used == reference.rounds_used
-
-
-@requires_numpy
 def test_csr_cache_is_reused():
-    _skip_without_numpy()
     graph = graphgen.cycle_graph(8)
     assert graph.csr() is graph.csr()
     csr = graph.csr()

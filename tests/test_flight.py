@@ -25,7 +25,6 @@ from repro.cli import main as cli_main
 from repro.parallel import JobRunner, JobSpec, register_algorithm, run_many
 from repro.parallel.jobs import _ALGORITHMS
 from repro.parallel.runner import _multiprocessing_context
-from repro.runtime.csr import numpy_available
 
 BENCH_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
@@ -593,7 +592,6 @@ class TestPoolIntegration:
 # -- the oocore profiled run (acceptance: >=10 RSS samples at n >= 10^6) ---------------
 
 
-@pytest.mark.skipif(not numpy_available(), reason="oocore tier needs NumPy")
 class TestOocoreProfiling:
     def test_profiled_greedy_at_one_million(self, monkeypatch):
         from repro.oocore.engine import oocore_greedy
@@ -646,7 +644,6 @@ class TestOocoreProfiling:
 # -- the telemetry-overhead gate -------------------------------------------------------
 
 
-@pytest.mark.skipif(not numpy_available(), reason="probe runs the batch tier")
 class TestOverheadGate:
     def test_measure_overhead_shape(self):
         measured = check_regression.measure_overhead(repeats=2)

@@ -19,7 +19,6 @@ from repro.parallel import (
 )
 from repro.parallel.jobs import graph_key, peek_graph
 from repro.parallel.runner import _multiprocessing_context
-from repro.runtime.csr import numpy_available
 
 
 def _spec(seed=1, n=64, degree=4, **extra):
@@ -138,8 +137,6 @@ class TestKeySensitivity:
 
 class TestForkParity:
     def test_cached_and_fresh_csr_agree_across_fork(self):
-        if not numpy_available():
-            pytest.skip("CSR requires NumPy")
         context = _multiprocessing_context()
         if context is None or context.get_start_method() != "fork":
             pytest.skip("fork start method unavailable")

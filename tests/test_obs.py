@@ -23,7 +23,6 @@ from repro.obs.exporters import (
 )
 from repro.runtime import ColoringEngine
 from repro.runtime.backends import resolve_backend
-from repro.runtime.csr import numpy_available
 from repro.runtime.metrics import MetricsLog, RoundMetrics
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
@@ -31,8 +30,6 @@ if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
 import check_regression  # noqa: E402
-
-requires_numpy = pytest.mark.requires_numpy
 
 
 def run_cli(argv):
@@ -206,10 +203,7 @@ class TestEngineTelemetry:
             + [{"counters": snapshot["counters"], "gauges": snapshot["gauges"]}]
         )
 
-    @requires_numpy
     def test_telemetry_identical_across_backends(self):
-        if not numpy_available():
-            pytest.skip("NumPy unavailable")
         graph = circulant_graph(300, (1, 2, 3, 4))
         with obs.capture() as ref_tel:
             delta_plus_one_coloring(graph, backend="reference")
@@ -219,10 +213,7 @@ class TestEngineTelemetry:
             bat_tel
         )
 
-    @requires_numpy
     def test_fallback_to_scalar_is_reported(self):
-        if not numpy_available():
-            pytest.skip("NumPy unavailable")
         from repro.baselines import KuhnWattenhoferReduction
 
         class ScalarOnlyKW(KuhnWattenhoferReduction):
@@ -284,10 +275,7 @@ class TestSelfStabTelemetry:
         ]
         assert len(radii) == 1 and radii[0]["count"] == 1
 
-    @requires_numpy
     def test_selfstab_telemetry_identical_across_backends(self):
-        if not numpy_available():
-            pytest.skip("NumPy unavailable")
         records = {}
         for backend in ("reference", "batch"):
             engine = self._engine(seed=23, backend=backend)
@@ -507,10 +495,7 @@ class TestRegressionGate:
         payload, errors = check_regression.load_baseline("engine", str(tmp_path))
         assert errors
 
-    @requires_numpy
     def test_doctored_baseline_fails_end_to_end(self, tmp_path):
-        if not numpy_available():
-            pytest.skip("NumPy unavailable")
         # Doctor the committed baseline far below any plausible measurement
         # (10x, not 2x — cold-vs-warm run variance on a loaded box can reach
         # 1.5x, exactly the tolerance margin); the gate must exit non-zero.
@@ -527,10 +512,7 @@ class TestRegressionGate:
         )
         assert code == 1
 
-    @requires_numpy
     def test_committed_baselines_pass_smoke(self, capsys):
-        if not numpy_available():
-            pytest.skip("NumPy unavailable")
         # Generous tolerance: this must hold on any healthy machine, exactly
         # like the CI gate.
         code = check_regression.main(["--smoke", "--tolerance", "4.0"])

@@ -13,12 +13,6 @@ import pytest
 
 from repro.analysis import is_proper_coloring
 from repro.graphgen import gnp_graph, random_regular
-from repro.runtime.csr import numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the out-of-core tier needs NumPy"
-)
-
 
 def _sharded(graph, shards=4):
     from repro.oocore.writers import shard_static_graph
@@ -384,6 +378,37 @@ class TestTelemetry:
         assert "oocore.halo.bytes" in names
         events = [e for e in tel.events if e.get("type") == "engine.run"]
         assert events and events[-1]["backend"] == "oocore"
+
+    def test_shard_io_counts_each_read_once(self, monkeypatch):
+        """A shard's local CSR is charged when streamed, never again while
+        cached; every round also reads the ``8 * k * ncomp`` state bytes."""
+        import numpy as np
+
+        from repro.core.reductions import StandardColorReduction
+        from repro.parallel.partition import PartitionRunner
+        from repro.runtime.algorithm import NetworkInfo
+        from repro.runtime.engine import Visibility
+
+        monkeypatch.delenv("REPRO_OOCORE_BUDGET", raising=False)
+        graph = random_regular(2000, 8, seed=1)
+        sharded = _sharded(graph, shards=4)
+        stage = StandardColorReduction()
+        stage.configure(NetworkInfo(graph.n, graph.max_degree, graph.n))
+        runner = PartitionRunner(sharded, stage, Visibility.LOCAL)
+        try:
+            runner.encode(np.arange(graph.n, dtype=np.int64))
+            state_bytes = 8 * graph.n * runner.planes.ncomp
+            streamed = sum(
+                sharded.local(i).bytes_read for i in range(sharded.shards)
+            )
+            runner.step(0, False)
+            assert runner.io_read == streamed + state_bytes
+            assert len(runner._locals) == sharded.shards  # all cached now
+            before = runner.io_read
+            runner.step(1, False)
+            assert runner.io_read - before == state_bytes
+        finally:
+            runner.close()
 
 
 class TestCLI:

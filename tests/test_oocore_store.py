@@ -28,12 +28,6 @@ from repro.oocore.writers import (
     write_gnp,
     write_random_regular,
 )
-from repro.runtime.csr import numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the out-of-core tier needs NumPy"
-)
-
 
 def _tmp():
     return tempfile.mkdtemp(prefix="oocore-test-")
@@ -70,7 +64,7 @@ class TestPartitionRanges:
         degrees = [0, 5, 1, 9, 2, 2, 7, 0, 3, 1]
         indptr = np.concatenate([[0], np.cumsum(degrees)])
         for shards in (1, 2, 3, 4, 10, 99):
-            ranges = partition_ranges(np, indptr, 10, shards)
+            ranges = partition_ranges(indptr, 10, shards)
             # Contiguous, disjoint, covering [0, n).
             assert ranges[0][0] == 0
             assert ranges[-1][1] == 10
@@ -81,7 +75,7 @@ class TestPartitionRanges:
     def test_empty_graph(self):
         import numpy as np
 
-        assert partition_ranges(np, np.zeros(1, dtype=np.int64), 0, 4) == [(0, 0)]
+        assert partition_ranges(np.zeros(1, dtype=np.int64), 0, 4) == [(0, 0)]
 
 
 class TestStreamingWriters:

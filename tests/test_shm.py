@@ -3,8 +3,8 @@
 The two load-bearing properties are *no leaks* — every ``/dev/shm`` entry
 the parent creates is gone after the runner closes, times out, or falls
 back inline — and *bit-identity*: outcomes through the shm plane equal the
-by-value outcomes byte for byte (``REPRO_DISABLE_SHM=1`` is the
-differential escape hatch).
+by-value outcomes byte for byte (``shm=False`` is the differential escape
+hatch).
 """
 
 import os
@@ -27,7 +27,6 @@ from repro.parallel.shm import (
     shm_available,
 )
 from repro.parallel import register_algorithm
-from repro.runtime.csr import numpy_available
 from repro.graphgen import random_regular
 
 
@@ -38,7 +37,7 @@ def _fork_available():
 
 def _needs_shm():
     if not shm_available():
-        pytest.skip("shared memory or NumPy unavailable")
+        pytest.skip("shared memory unavailable")
 
 
 def _shm_leaks():
@@ -116,18 +115,18 @@ class TestSegmentManager:
             assert name not in _shm_leaks()
 
 
-class TestSharedGraphView:
-    def _exported_view(self, manager, graph):
+class TestAttachedGraph:
+    def _attached(self, manager, graph):
         meta = export_graph(manager, graph)
         assert meta is not None
-        return meta, attach_graph(meta)
+        return attach_graph(meta)
 
     def test_query_surface_matches_static_graph(self):
         _needs_shm()
         manager = SegmentManager()
         try:
             graph = random_regular(80, 6, seed=3)
-            meta, view = self._exported_view(manager, graph)
+            view, segment = self._attached(manager, graph)
             assert view.n == graph.n
             assert view.m == graph.m
             assert view.max_degree == graph.max_degree
@@ -146,7 +145,8 @@ class TestSharedGraphView:
             assert index_view == index_ref
             assert sub_view.n == sub_ref.n
             assert sorted(sub_view.edges) == sorted(sub_ref.edges)
-            view.detach()
+            del view
+            segment.close()
         finally:
             manager.close()
 
@@ -155,13 +155,17 @@ class TestSharedGraphView:
         manager = SegmentManager()
         try:
             graph = random_regular(60, 4, seed=7)
-            meta, view = self._exported_view(manager, graph)
+            view, segment = self._attached(manager, graph)
             shared = view.csr()
             fresh = graph.csr()
             for field in ("indptr", "indices", "rows", "degrees", "edge_u", "edge_v"):
                 assert getattr(shared, field).tolist() == getattr(fresh, field).tolist()
             assert shared.n == fresh.n and shared.m == fresh.m
-            view.detach()
+            # Zero-copy: the adjacency arrays are views into the segment.
+            assert not shared.indptr.flags.owndata
+            assert not shared.indices.flags.owndata
+            del view, shared
+            segment.close()
         finally:
             manager.close()
 
@@ -332,10 +336,12 @@ class TestRunnerLifecycle:
             def __init__(self, graph):
                 self.colors = [0] * graph.n
                 self.rounds = 0
-                self.graph_type = type(graph).__name__
+                # A graph over the attached segment does not own its CSR
+                # buffers; a regenerated one does.
+                self.owns_indptr = bool(graph.csr().indptr.flags.owndata)
 
             def to_dict(self):
-                return {"graph_type": self.graph_type}
+                return {"owns_indptr": self.owns_indptr}
 
         def recorder(graph, backend="auto", seed=1, **params):
             return Probe(graph)
@@ -352,28 +358,29 @@ class TestRunnerLifecycle:
         with JobRunner(workers=2, mode="process") as runner:
             outcomes = runner.map_jobs(specs)
         assert all(o.ok for o in outcomes)
-        kinds = {o.summary["payload"]["graph_type"] for o in outcomes}
-        assert kinds == {"SharedGraphView"}
+        owned = {o.summary["payload"]["owns_indptr"] for o in outcomes}
+        assert owned == {False}
         assert _shm_leaks() == []
 
-    def test_shm_disabled_is_bit_identical(self, monkeypatch):
-        if not numpy_available() or not _fork_available():
+    def test_shm_disabled_is_bit_identical(self):
+        _needs_shm()
+        if not _fork_available():
             pytest.skip("process mode unavailable")
         specs = _specs(3, seed=1)
         baseline = run_many(specs, workers=2, mode="process", shm=False)
-        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-        disabled = run_many(specs, workers=2, mode="process")
-        monkeypatch.delenv("REPRO_DISABLE_SHM")
         enabled = run_many(specs, workers=2, mode="process")
-        views = [[_deterministic(o) for o in outcomes] for outcomes in (baseline, disabled, enabled)]
+        required = run_many(specs, workers=2, mode="process", shm=True)
+        views = [[_deterministic(o) for o in outcomes] for outcomes in (baseline, enabled, required)]
         assert views[0] == views[1] == views[2]
         assert all(o.ok for o in baseline)
         assert _shm_leaks() == []
 
     def test_shm_true_without_support_raises(self, monkeypatch):
+        from repro.parallel import shm
+
         if not _fork_available():
             pytest.skip("process mode unavailable")
-        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        monkeypatch.setattr(shm, "shared_memory_or_none", lambda: None)
         specs = _specs(2, seed=1)
         with pytest.raises(RuntimeError, match="shared-memory"):
             run_many(specs, workers=2, mode="process", shm=True)

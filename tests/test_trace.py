@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.core import AdditiveGroupColoring, ThreeDimensionalAG
 from repro.cli import main
 from repro.graphgen import circulant_graph, gnp_graph, random_regular
@@ -81,7 +79,6 @@ class TestSecondCoordinateConflicts:
 
 
 class TestTraceBackends:
-    @pytest.mark.requires_numpy
     def test_trace_run_parity_across_backends(self):
         graph = random_regular(40, 6, seed=17)
         ref = trace_run(
@@ -107,7 +104,6 @@ class TestTraceBackends:
             )
         assert ref.run.int_colors == bat.run.int_colors
 
-    @pytest.mark.requires_numpy
     def test_trace_pipeline_parity_across_backends(self):
         from repro.core import StandardColorReduction
         from repro.trace import trace_pipeline
